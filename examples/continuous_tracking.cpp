@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "query/continuous.h"
+#include "query/subscription.h"
 #include "sim/simulation.h"
 
 int main() {
@@ -31,8 +32,11 @@ int main() {
       Rect::FromCenter(sim.deployment().reader(14).pos, 14, 14);
   const Point lobby = sim.deployment().reader(2).pos;
 
-  ContinuousRangeMonitor area_monitor(&sim.pf_engine(), meeting_area, 0.5);
-  ContinuousKnnMonitor lobby_monitor(&sim.pf_engine(), lobby, 2);
+  // Both monitors stand on one subscription manager, which evaluates them
+  // together (one batch per poll second).
+  SubscriptionManager subscriptions(&sim.pf_engine());
+  ContinuousRangeMonitor area_monitor(&subscriptions, meeting_area, 0.5);
+  ContinuousKnnMonitor lobby_monitor(&subscriptions, lobby, 2);
   const ClosestPairEvaluator closest(&sim.anchors(), &sim.anchor_graph());
 
   std::printf("Watching meeting area %s and lobby %s\n\n",

@@ -64,14 +64,6 @@ KnnUpdate DiffKnnResult(const KnnResult& result, int k, int64_t now,
   return update;
 }
 
-ContinuousRangeMonitor::ContinuousRangeMonitor(QueryEngine* engine,
-                                               Rect window,
-                                               double membership_threshold)
-    : engine_(engine), window_(window), threshold_(membership_threshold) {
-  IPQS_CHECK(engine != nullptr);
-  IPQS_CHECK(membership_threshold > 0.0 && membership_threshold <= 1.0);
-}
-
 ContinuousRangeMonitor::ContinuousRangeMonitor(SubscriptionManager* manager,
                                                Rect window,
                                                double membership_threshold)
@@ -82,20 +74,9 @@ ContinuousRangeMonitor::ContinuousRangeMonitor(SubscriptionManager* manager,
 }
 
 RangeUpdate ContinuousRangeMonitor::Poll(int64_t now) {
-  if (manager_ != nullptr) {
-    manager_->EnsureTick(now);
-    return DiffRangeResult(manager_->Answer(sub_id_).range, threshold_, now,
-                           &members_);
-  }
-  const QueryResult result = engine_->EvaluateRange(window_, now);
-  return DiffRangeResult(result, threshold_, now, &members_);
-}
-
-ContinuousKnnMonitor::ContinuousKnnMonitor(QueryEngine* engine, Point query,
-                                           int k)
-    : engine_(engine), query_(query), k_(k) {
-  IPQS_CHECK(engine != nullptr);
-  IPQS_CHECK_GT(k, 0);
+  manager_->EnsureTick(now);
+  return DiffRangeResult(manager_->Answer(sub_id_).range, threshold_, now,
+                         &members_);
 }
 
 ContinuousKnnMonitor::ContinuousKnnMonitor(SubscriptionManager* manager,
@@ -107,12 +88,8 @@ ContinuousKnnMonitor::ContinuousKnnMonitor(SubscriptionManager* manager,
 }
 
 KnnUpdate ContinuousKnnMonitor::Poll(int64_t now) {
-  if (manager_ != nullptr) {
-    manager_->EnsureTick(now);
-    return DiffKnnResult(manager_->Answer(sub_id_).knn, k_, now, &current_);
-  }
-  const KnnResult result = engine_->EvaluateKnn(query_, k_, now);
-  return DiffKnnResult(result, k_, now, &current_);
+  manager_->EnsureTick(now);
+  return DiffKnnResult(manager_->Answer(sub_id_).knn, k_, now, &current_);
 }
 
 std::vector<std::pair<ObjectId, double>> ThresholdKnn(const KnnResult& result,

@@ -2,23 +2,32 @@
 #define IPQS_QUERY_HISTORICAL_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "query/knn_query.h"
 #include "query/query_engine.h"
 #include "query/range_query.h"
+#include "rfid/data_collector.h"
 #include "rfid/history_store.h"
 
 namespace ipqs {
 
 // Historical snapshot queries ("who was inside this zone at 10:15?") over
-// a HistoryStore. For any past instant t the engine reconstructs, per
-// object, the two-device reading window that the live system held at t,
-// replays Algorithm 2 (or the symbolic inference) against it, and
-// evaluates the query on the resulting APtoObjHT — so historical answers
-// have exactly the semantics live answers had at t.
+// a HistoryStore. For any past instant t the engine restores a collector
+// to the store's snapshot at t — per object, the two-device reading window
+// the live system held then — and answers through an ordinary QueryEngine
+// over it, so historical answers run the live pipeline (pruning, per-query
+// candidate restriction, one (seed, object, t) stream per inference) and
+// are a pure function of (seed, store, t, query): the order queries are
+// asked in never changes an answer.
 //
-// The particle cache does not apply (each query time is its own replay);
-// uncertain-region pruning does, computed from the readings as of t.
+// The engine is configured from `config` with two exceptions. The particle
+// cache is off (each query time is its own replay), and no health monitor
+// is consulted (its view describes the present, not t). A restored
+// collector carries no per-second reader liveness either, so under
+// filter.measurement.use_negative_information historical replays treat
+// all silence as uninformative, where a live engine trusts the silence of
+// readers it saw alive.
 class HistoricalEngine {
  public:
   HistoricalEngine(const WalkingGraph* graph, const FloorPlan* plan,
@@ -35,29 +44,20 @@ class HistoricalEngine {
   // object had not been detected by then.
   const AnchorDistribution* InferObjectAt(ObjectId object, int64_t time);
 
-  const EngineStats& stats() const { return stats_; }
+  EngineStats stats() const { return engine_.stats(); }
 
   // The APtoObjHT for the last queried time (for event predicates).
-  const AnchorObjectTable& table() const { return table_; }
+  const AnchorObjectTable& table() const { return engine_.table(); }
 
  private:
-  void SyncTableTo(int64_t time);
+  // Restores collector_ to the store's snapshot at `time`, unless the last
+  // query already did.
+  void RestoreTo(int64_t time);
 
-  const WalkingGraph* graph_;
-  const AnchorPointIndex* anchors_;
-  const Deployment* deployment_;
   const HistoryStore* store_;
-  EngineConfig config_;
-
-  ParticleFilter filter_;
-  SymbolicInference symbolic_;
-  RangeQueryEvaluator range_eval_;
-  KnnQueryEvaluator knn_eval_;
-
-  AnchorObjectTable table_;
-  int64_t table_time_ = -1;
-  EngineStats stats_;
-  Rng rng_;
+  DataCollector collector_;
+  std::optional<int64_t> restored_time_;
+  QueryEngine engine_;  // Reads collector_.
 };
 
 }  // namespace ipqs

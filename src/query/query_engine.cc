@@ -8,22 +8,25 @@
 #include "common/check.h"
 #include "graph/shortest_path.h"
 
+namespace ipqs {
+
 namespace {
 
-// Canonical candidate order for the degraded paths: ascending and unique,
-// so plan lists and prune-only accumulation never depend on the order the
-// pruning stage emitted candidates in.
-std::vector<ipqs::ObjectId> Canonicalize(
-    const std::vector<ipqs::ObjectId>& candidates) {
-  std::vector<ipqs::ObjectId> sorted = candidates;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted;
+// Byte-identical queries (bit-equal coordinates) collapse to one
+// evaluation; nearly-equal ones do not — dedup must never change answers.
+bool SameQuery(const BatchQuery& a, const BatchQuery& b) {
+  if (a.kind != b.kind) {
+    return false;
+  }
+  if (a.kind == BatchQuery::Kind::kRange) {
+    return a.window.min_x == b.window.min_x &&
+           a.window.min_y == b.window.min_y &&
+           a.window.max_x == b.window.max_x && a.window.max_y == b.window.max_y;
+  }
+  return a.point.x == b.point.x && a.point.y == b.point.y && a.k == b.k;
 }
 
 }  // namespace
-
-namespace ipqs {
 
 QueryEngine::QueryEngine(const WalkingGraph* graph, const FloorPlan* plan,
                          const AnchorPointIndex* anchors,
@@ -343,94 +346,9 @@ QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now,
 QueryResult QueryEngine::EvaluateRange(const Rect& window, int64_t now,
                                        int64_t deadline_ms,
                                        obs::QueryExplain* explain) {
-  SyncTableTo(now);
   const obs::TraceSpan span(trace_, "range_query");
   const obs::ScopedTimer latency(timers_.range_latency_ns);
-  counters_.queries->Increment();
-  // Everything gathered for `explain` is observational — counter reads,
-  // non-mutating cache probes, clock reads. None of it reaches the RNG or
-  // the admission decision, so the answer cannot depend on it.
-  const bool explained = explain != nullptr;
-  const int64_t t_start = explained ? obs::MonotonicNanos() : 0;
-  const ExplainBaseline baseline =
-      explained ? CaptureBaseline() : ExplainBaseline{};
-
-  std::vector<ObjectId> candidates;
-  {
-    const obs::TraceSpan prune_span(trace_, "prune");
-    const obs::ScopedTimer prune_timer(timers_.prune_ns);
-    if (config_.use_pruning) {
-      candidates = FilterRangeCandidates(*collector_, *deployment_, {window},
-                                         now, config_.max_speed);
-    } else {
-      candidates = collector_->KnownObjects();
-    }
-  }
-  const int64_t known =
-      static_cast<int64_t>(collector_->KnownObjects().size());
-  counters_.objects_considered->Increment(known);
-
-  // See EvaluateKnn: restricting evaluation to this query's candidates
-  // makes the answer independent of what other queries memoized at `now`.
-  const std::vector<ObjectId> restrict = Canonicalize(candidates);
-
-  const int64_t t_pruned = explained ? obs::MonotonicNanos() : 0;
-  if (explained) {
-    explain->kind = "range";
-    explain->now = now;
-    explain->deadline_ms = deadline_ms;
-    explain->pruning_enabled = config_.use_pruning;
-    explain->objects_known = known;
-    explain->candidates = static_cast<int64_t>(restrict.size());
-    explain->prune_ns = t_pruned - t_start;
-    ProbeCacheOutcomes(restrict, now, explain);
-    FillIngestContext(explain);
-  }
-
-  PlanDecision decision;
-  const InferPlan plan = PlanInference(restrict, now, deadline_ms,
-                                       explained ? &decision : nullptr);
-  CountPlan(plan);
-
-  QueryResult result;
-  int64_t t_inferred = t_pruned;
-  if (plan.level == QualityLevel::kPruneOnly) {
-    result = PruneOnlyRange(restrict, window, now);
-  } else if (plan.level != QualityLevel::kFull) {
-    AnchorObjectTable scratch;
-    ExecuteDegradedPlan(plan, now, &scratch);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = range_eval_.Evaluate(scratch, window, &restrict);
-    result.quality = plan.level;
-  } else {
-    InferBatch(restrict, now);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = range_eval_.Evaluate(table_, window, &restrict);
-  }
-
-  result.coverage_degraded = CoverageDegraded(restrict, &window);
-
-  if (explained) {
-    const int64_t t_end = obs::MonotonicNanos();
-    explain->infer_ns = t_inferred - t_pruned;
-    explain->evaluate_ns = t_end - t_inferred;
-    explain->total_ns = t_end - t_start;
-    explain->quality = std::string(ToString(result.quality));
-    explain->coverage_degraded = result.coverage_degraded;
-    explain->budget_reason = decision.reason;
-    explain->budget_filter_seconds = decision.budget;
-    explain->est_full_cost = decision.est_full;
-    explain->est_stale_cost = decision.est_stale;
-    explain->est_reduced_cost = decision.est_reduced;
-    ChargeDeltas(baseline, explain);
-    explain->result_objects = static_cast<int64_t>(result.objects.size());
-    explain->result_total_probability = result.TotalProbability();
-  }
-  return result;
+  return ServeOne(BatchQuery::Range(window), now, deadline_ms, explain).range;
 }
 
 KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now) {
@@ -445,116 +363,232 @@ KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
 KnnResult QueryEngine::EvaluateKnn(const Point& query, int k, int64_t now,
                                    int64_t deadline_ms,
                                    obs::QueryExplain* explain) {
-  SyncTableTo(now);
   const obs::TraceSpan span(trace_, "knn_query");
   const obs::ScopedTimer latency(timers_.knn_latency_ns);
-  counters_.queries->Increment();
-  const bool explained = explain != nullptr;
+  return ServeOne(BatchQuery::Knn(query, k), now, deadline_ms, explain).knn;
+}
+
+BatchAnswer QueryEngine::ServeOne(const BatchQuery& query, int64_t now,
+                                  int64_t deadline_ms,
+                                  obs::QueryExplain* explain) {
+  BatchAnswer answer;
+  Serve({&query, 1}, now, deadline_ms, {&answer, 1},
+        explain == nullptr ? std::span<obs::QueryExplain>()
+                           : std::span<obs::QueryExplain>(explain, 1));
+  return answer;
+}
+
+QueryEngine::ServeCounts QueryEngine::Serve(
+    std::span<const BatchQuery> batch, int64_t now, int64_t deadline_ms,
+    std::span<BatchAnswer> answers, std::span<obs::QueryExplain> explains,
+    std::span<BatchSlotDetail> details) {
+  IPQS_CHECK_EQ(answers.size(), batch.size());
+  IPQS_CHECK(explains.empty() || explains.size() == batch.size());
+  IPQS_CHECK(details.empty() || details.size() == batch.size());
+  ServeCounts counts;
+  if (batch.empty()) {
+    return counts;
+  }
+  // Everything gathered for explains is observational — counter reads,
+  // non-mutating cache probes, clock reads. None of it reaches the RNG or
+  // the admission decision, so no answer can depend on it.
+  const bool explained = !explains.empty();
   const int64_t t_start = explained ? obs::MonotonicNanos() : 0;
   const ExplainBaseline baseline =
       explained ? CaptureBaseline() : ExplainBaseline{};
+  SyncTableTo(now);
+  counters_.queries->Increment(static_cast<int64_t>(batch.size()));
 
-  const GraphLocation q =
-      graph_->NearestLocation(query, /*prefer_hallways=*/true);
-  // Distance tables are only needed by pruning and the prune-only
-  // fallback; acquire lazily so the pruning-off fast path never pays a
-  // Dijkstra.
-  std::optional<SourceDistances> qd;
-  const auto distances = [&]() -> const SourceDistances& {
-    if (!qd.has_value()) {
-      qd = DistancesFor(q);
-    }
-    return *qd;
+  // Stage 1: dedup. slot_of maps every batch index to its distinct query.
+  struct Distinct {
+    size_t first = 0;  // Batch index of the representative slot.
+    GraphLocation q;   // kKnn: snapped query location.
+    // kKnn: per-reader distance bounds, once pruning or the prune-only
+    // fallback has read them.
+    std::optional<SourceDistances> qd;
+    std::vector<ObjectId> restrict;  // Canonical candidate set.
   };
-  std::vector<ObjectId> candidates;
+  std::vector<Distinct> distinct;
+  std::vector<size_t> slot_of(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    size_t slot = 0;
+    while (slot < distinct.size() &&
+           !SameQuery(batch[distinct[slot].first], batch[i])) {
+      ++slot;
+    }
+    slot_of[i] = slot;
+    if (slot < distinct.size()) {
+      ++counts.duplicate_queries;
+    } else {
+      distinct.push_back(Distinct{i, {}, std::nullopt, {}});
+    }
+  }
+
+  // Stage 2: prune. Sorting here is the pipeline's one canonicalization;
+  // planning, inference and evaluation all rely on it.
+  const std::vector<ObjectId> known_objects = collector_->KnownObjects();
+  const int64_t known = static_cast<int64_t>(known_objects.size());
   {
     const obs::TraceSpan prune_span(trace_, "prune");
     const obs::ScopedTimer prune_timer(timers_.prune_ns);
-    if (config_.use_pruning) {
-      const SourceDistances& d = distances();
-      candidates = FilterKnnCandidates(*collector_, *deployment_, d, k, now,
-                                       config_.max_speed);
-    } else {
-      candidates = collector_->KnownObjects();
+    for (Distinct& d : distinct) {
+      const BatchQuery& query = batch[d.first];
+      counters_.objects_considered->Increment(known);
+      if (query.kind == BatchQuery::Kind::kKnn) {
+        d.q = graph_->NearestLocation(query.point, /*prefer_hallways=*/true);
+      }
+      if (!config_.use_pruning) {
+        d.restrict = known_objects;
+      } else if (query.kind == BatchQuery::Kind::kRange) {
+        d.restrict = FilterRangeCandidates(*collector_, *deployment_,
+                                           {query.window}, now,
+                                           config_.max_speed);
+      } else {
+        d.qd = DistancesFor(d.q);
+        d.restrict = FilterKnnCandidates(*collector_, *deployment_, *d.qd,
+                                         query.k, now, config_.max_speed);
+      }
+      std::sort(d.restrict.begin(), d.restrict.end());
+      d.restrict.erase(std::unique(d.restrict.begin(), d.restrict.end()),
+                       d.restrict.end());
+      counts.candidate_slots += static_cast<int64_t>(d.restrict.size());
     }
   }
-  const int64_t known =
-      static_cast<int64_t>(collector_->KnownObjects().size());
-  counters_.objects_considered->Increment(known);
-
-  // Evaluation is restricted to this query's own candidate set, so the
-  // answer is a pure function of (query, now) — distributions memoized in
-  // the APtoObjHT by OTHER queries at the same timestamp can no longer
-  // leak probability mass into this one.
-  const std::vector<ObjectId> restrict = Canonicalize(candidates);
-
   const int64_t t_pruned = explained ? obs::MonotonicNanos() : 0;
   if (explained) {
-    explain->kind = "knn";
-    explain->now = now;
-    explain->deadline_ms = deadline_ms;
-    explain->k = k;
-    explain->pruning_enabled = config_.use_pruning;
-    explain->objects_known = known;
-    explain->candidates = static_cast<int64_t>(restrict.size());
-    explain->prune_ns = t_pruned - t_start;
-    if (qd.has_value()) {
-      explain->dindex_slack = qd->slack;
+    for (const Distinct& d : distinct) {
+      const BatchQuery& query = batch[d.first];
+      obs::QueryExplain& e = explains[d.first];
+      e.kind = query.kind == BatchQuery::Kind::kRange ? "range" : "knn";
+      e.now = now;
+      e.deadline_ms = deadline_ms;
+      e.k = query.kind == BatchQuery::Kind::kKnn ? query.k : 0;
+      e.pruning_enabled = config_.use_pruning;
+      e.objects_known = known;
+      e.candidates = static_cast<int64_t>(d.restrict.size());
+      e.prune_ns = t_pruned - t_start;
+      ProbeCacheOutcomes(d.restrict, now, &e);
+      FillIngestContext(&e);
     }
-    ProbeCacheOutcomes(restrict, now, explain);
-    FillIngestContext(explain);
   }
 
+  // Stage 3: plan the union of the candidate sets.
+  std::vector<ObjectId> merged;
+  const std::vector<ObjectId>* all = &distinct.front().restrict;
+  if (distinct.size() > 1) {
+    for (const Distinct& d : distinct) {
+      merged.insert(merged.end(), d.restrict.begin(), d.restrict.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    all = &merged;
+  }
+  counts.unique_candidates = static_cast<int64_t>(all->size());
   PlanDecision decision;
-  const InferPlan plan = PlanInference(restrict, now, deadline_ms,
+  const InferPlan plan = PlanInference(*all, now, deadline_ms,
                                        explained ? &decision : nullptr);
-  CountPlan(plan);
+  CountPlan(plan, static_cast<int64_t>(batch.size()));
 
-  KnnResult result;
-  int64_t t_inferred = t_pruned;
-  if (plan.level == QualityLevel::kPruneOnly) {
-    result = PruneOnlyKnn(restrict, distances(), k, now);
-  } else if (plan.level != QualityLevel::kFull) {
-    AnchorObjectTable scratch;
+  // Stage 4: infer once for everyone. Degraded distributions go to a
+  // scratch table so they are never memoized for full-quality queries.
+  AnchorObjectTable scratch;
+  const AnchorObjectTable* table = &table_;
+  if (plan.level == QualityLevel::kFull) {
+    InferBatch(*all, now);
+  } else if (plan.level != QualityLevel::kPruneOnly) {
     ExecuteDegradedPlan(plan, now, &scratch);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
+    table = &scratch;
+  }
+  const int64_t t_inferred = explained ? obs::MonotonicNanos() : 0;
+
+  // Stage 5: answer each distinct query from its own candidates.
+  {
     const obs::TraceSpan eval_span(trace_, "evaluate");
     const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = knn_eval_.Evaluate(scratch, q, k, &restrict);
-    result.result.quality = plan.level;
-  } else {
-    InferBatch(restrict, now);
-    t_inferred = explained ? obs::MonotonicNanos() : 0;
-    const obs::TraceSpan eval_span(trace_, "evaluate");
-    const obs::ScopedTimer eval_timer(timers_.evaluate_ns);
-    result = knn_eval_.Evaluate(table_, q, k, &restrict);
+    for (Distinct& d : distinct) {
+      const BatchQuery& query = batch[d.first];
+      BatchAnswer& answer = answers[d.first];
+      answer.kind = query.kind;
+      if (query.kind == BatchQuery::Kind::kRange) {
+        answer.range =
+            plan.level == QualityLevel::kPruneOnly
+                ? PruneOnlyRange(d.restrict, query.window, now)
+                : range_eval_.Evaluate(*table, query.window, &d.restrict);
+        answer.range.quality = plan.level;
+      } else {
+        if (plan.level == QualityLevel::kPruneOnly && !d.qd.has_value()) {
+          d.qd = DistancesFor(d.q);  // Pruning was off.
+        }
+        answer.knn =
+            plan.level == QualityLevel::kPruneOnly
+                ? PruneOnlyKnn(d.restrict, *d.qd, query.k, now)
+                : knn_eval_.Evaluate(*table, d.q, query.k, &d.restrict);
+        answer.knn.result.quality = plan.level;
+      }
+    }
   }
 
-  result.result.coverage_degraded = CoverageDegraded(restrict, nullptr);
+  // Stage 6: coverage annotation from the health monitor's view.
+  for (const Distinct& d : distinct) {
+    BatchAnswer& answer = answers[d.first];
+    if (answer.kind == BatchQuery::Kind::kRange) {
+      answer.range.coverage_degraded =
+          CoverageDegraded(d.restrict, &batch[d.first].window);
+    } else {
+      answer.knn.result.coverage_degraded =
+          CoverageDegraded(d.restrict, nullptr);
+    }
+  }
 
+  // Stage 7: explain. Pass stages run once for everyone, so each record
+  // reports the pass's stage walls and work deltas (a batched query's
+  // marginal cost is exactly what batching makes shared).
   if (explained) {
     const int64_t t_end = obs::MonotonicNanos();
-    explain->infer_ns = t_inferred - t_pruned;
-    explain->evaluate_ns = t_end - t_inferred;
-    explain->total_ns = t_end - t_start;
-    // The prune-only fallback may have consulted the distance table even
-    // when pruning was off; report the slack it actually used.
-    if (qd.has_value()) {
-      explain->dindex_slack = qd->slack;
+    for (const Distinct& d : distinct) {
+      const BatchAnswer& answer = answers[d.first];
+      const bool range = answer.kind == BatchQuery::Kind::kRange;
+      const QueryResult& served = range ? answer.range : answer.knn.result;
+      obs::QueryExplain& e = explains[d.first];
+      e.infer_ns = t_inferred - t_pruned;
+      e.evaluate_ns = t_end - t_inferred;
+      e.total_ns = t_end - t_start;
+      // Report the slack of whatever distance bounds were read, including
+      // the prune-only fallback's when pruning was off.
+      if (d.qd.has_value()) {
+        e.dindex_slack = d.qd->slack;
+      }
+      e.quality = std::string(ToString(served.quality));
+      e.coverage_degraded = served.coverage_degraded;
+      e.budget_reason = decision.reason;
+      e.budget_filter_seconds = decision.budget;
+      e.est_full_cost = decision.est_full;
+      e.est_stale_cost = decision.est_stale;
+      e.est_reduced_cost = decision.est_reduced;
+      ChargeDeltas(baseline, &e);
+      e.result_objects = static_cast<int64_t>(served.objects.size());
+      e.result_total_probability = range ? answer.range.TotalProbability()
+                                         : answer.knn.total_probability;
     }
-    explain->quality = std::string(ToString(result.result.quality));
-    explain->coverage_degraded = result.result.coverage_degraded;
-    explain->budget_reason = decision.reason;
-    explain->budget_filter_seconds = decision.budget;
-    explain->est_full_cost = decision.est_full;
-    explain->est_stale_cost = decision.est_stale;
-    explain->est_reduced_cost = decision.est_reduced;
-    ChargeDeltas(baseline, explain);
-    explain->result_objects =
-        static_cast<int64_t>(result.result.objects.size());
-    explain->result_total_probability = result.total_probability;
   }
-  return result;
+
+  // Fan each distinct answer out to its duplicate slots.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Distinct& d = distinct[slot_of[i]];
+    if (d.first != i) {
+      answers[i] = answers[d.first];
+      if (explained) {
+        explains[i] = explains[d.first];
+        explains[i].deduped = true;
+      }
+    }
+    if (!details.empty()) {
+      details[i].candidates = d.restrict;
+      details[i].snapped = d.q;
+      details[i].dists = d.qd.value_or(SourceDistances{});
+    }
+  }
+  return counts;
 }
 
 SourceDistances QueryEngine::DistancesFor(const GraphLocation& query) {
@@ -625,7 +659,7 @@ QueryEngine::InferPlan QueryEngine::PlanInference(
   };
   std::vector<Estimate> estimates;
   double full_level_cost = 0.0;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;
@@ -815,19 +849,19 @@ void QueryEngine::ExecuteDegradedPlan(const InferPlan& plan, int64_t now,
   }
 }
 
-void QueryEngine::CountPlan(const InferPlan& plan) {
+void QueryEngine::CountPlan(const InferPlan& plan, int64_t queries) {
   switch (plan.level) {
     case QualityLevel::kFull:
-      degrade_counters_.full->Increment();
+      degrade_counters_.full->Increment(queries);
       break;
     case QualityLevel::kCachedStale:
-      degrade_counters_.cached_stale->Increment();
+      degrade_counters_.cached_stale->Increment(queries);
       break;
     case QualityLevel::kReducedParticles:
-      degrade_counters_.reduced_particles->Increment();
+      degrade_counters_.reduced_particles->Increment(queries);
       break;
     case QualityLevel::kPruneOnly:
-      degrade_counters_.prune_only->Increment();
+      degrade_counters_.prune_only->Increment(queries);
       break;
   }
 }
@@ -873,7 +907,7 @@ QueryResult QueryEngine::PruneOnlyRange(const std::vector<ObjectId>& candidates,
                                         int64_t now) const {
   QueryResult result;
   result.quality = QualityLevel::kPruneOnly;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;
@@ -911,7 +945,7 @@ KnnResult QueryEngine::PruneOnlyKnn(const std::vector<ObjectId>& candidates,
     ObjectId object;
   };
   std::vector<Ranked> order;
-  for (ObjectId object : Canonicalize(candidates)) {
+  for (ObjectId object : candidates) {
     const DataCollector::ObjectHistory* history = collector_->History(object);
     if (history == nullptr || history->entries.empty()) {
       continue;

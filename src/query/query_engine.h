@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "common/thread_pool.h"
 #include "filter/particle_cache.h"
 #include "filter/particle_filter.h"
+#include "geom/point.h"
+#include "geom/rect.h"
 #include "graph/distance_index.h"
 #include "graph/distance_oracle.h"
 #include "health/reader_health.h"
@@ -118,6 +121,49 @@ struct EngineConfig {
   const ReaderHealthMonitor* health = nullptr;
 };
 
+// One query in a batch (QueryEngine::Serve, QueryScheduler).
+struct BatchQuery {
+  enum class Kind { kRange, kKnn };
+
+  static BatchQuery Range(const Rect& window) {
+    BatchQuery q;
+    q.kind = Kind::kRange;
+    q.window = window;
+    return q;
+  }
+  static BatchQuery Knn(const Point& point, int k) {
+    BatchQuery q;
+    q.kind = Kind::kKnn;
+    q.point = point;
+    q.k = k;
+    return q;
+  }
+
+  Kind kind = Kind::kRange;
+  Rect window;  // kRange only.
+  Point point;  // kKnn only.
+  int k = 0;    // kKnn only.
+};
+
+// Answer slot for one BatchQuery; read the member matching its kind.
+struct BatchAnswer {
+  BatchQuery::Kind kind = BatchQuery::Kind::kRange;
+  QueryResult range;
+  KnnResult knn;
+};
+
+// Per-slot serving internals surfaced to callers that maintain incremental
+// state on top of the batch (the SubscriptionManager): the canonical
+// candidate set the slot's answer was restricted to, and — for kNN — the
+// snapped query location plus the per-reader distance bounds and slack
+// that pruning (or the prune-only fallback) read. `dists` is empty for
+// range queries and whenever no distance bounds were read.
+struct BatchSlotDetail {
+  std::vector<ObjectId> candidates;
+  GraphLocation snapped;
+  SourceDistances dists;
+};
+
 struct EngineStats {
   int64_t queries = 0;
   int64_t objects_considered = 0;   // Known objects summed over queries.
@@ -143,6 +189,11 @@ struct DegradeStats {
 // The engine owns no simulation state; it reads the shared DataCollector
 // and lazily infers location distributions for candidate objects at query
 // time, memoizing them in the APtoObjHT for the duration of one timestamp.
+//
+// Every query runs through one pipeline, Serve(): a serial EvaluateRange /
+// EvaluateKnn call is a batch of one, QueryScheduler is its batched front
+// end, and HistoricalEngine serves past instants through an engine over a
+// restored collector.
 //
 // Determinism guarantee: the distribution inferred for an object at a
 // timestamp is a pure function of (engine seed, that object's history,
@@ -186,6 +237,40 @@ class QueryEngine {
   // nullptr when the object has never been detected.
   const AnchorDistribution* InferObject(ObjectId object, int64_t now);
 
+  // What a Serve pass shared across its batch, for the scheduler's qps.*
+  // metrics.
+  struct ServeCounts {
+    int64_t duplicate_queries = 0;  // Slots collapsed by dedup.
+    int64_t candidate_slots = 0;    // Sum of per-query candidate set sizes.
+    int64_t unique_candidates = 0;  // Size of their union.
+  };
+
+  // The query pipeline (Figure 3) every query runs through, once per batch
+  // of queries sharing one timestamp:
+  //   1. dedup    — byte-identical queries collapse to one evaluation whose
+  //                 answer is copied to every duplicate slot;
+  //   2. prune    — each distinct query computes its canonical (ascending,
+  //                 unique) candidate set;
+  //   3. plan     — ONE admission decision for the union of the candidate
+  //                 sets, so a deadline's work budget is charged per unique
+  //                 object, not per query;
+  //   4. infer    — one InferBatch over the union populates the APtoObjHT
+  //                 (or one degraded scratch table);
+  //   5. evaluate — each distinct query is answered from that table
+  //                 restricted to its own candidates, so no answer depends
+  //                 on what other queries at `now` inferred;
+  //   6. coverage — reader-health annotation per answer;
+  //   7. explain  — provenance records, when requested.
+  // answers[i] answers batch[i]; `explains` and `details` are either empty
+  // or batch.size() long (slot i describes batch[i]; duplicates carry their
+  // representative's record with `deduped` set). Explain and detail
+  // collection is strictly observational. The prune / infer / merge /
+  // evaluate stage timers and spans record once per pass.
+  ServeCounts Serve(std::span<const BatchQuery> batch, int64_t now,
+                    int64_t deadline_ms, std::span<BatchAnswer> answers,
+                    std::span<obs::QueryExplain> explains = {},
+                    std::span<BatchSlotDetail> details = {});
+
   // Infers every not-yet-memoized candidate at `now`, fanning per-object
   // filter runs across the thread pool (config.num_threads workers) and
   // merging the resulting distributions into the APtoObjHT in ascending
@@ -194,6 +279,9 @@ class QueryEngine {
   void InferBatch(const std::vector<ObjectId>& candidates, int64_t now);
 
   const EngineConfig& config() const { return config_; }
+  // The registry backing the engine's counters: config.metrics, or a
+  // private one when that is null.
+  obs::MetricsRegistry* registry() const { return metrics_; }
   EngineStats stats() const;
   DegradeStats degrade_stats() const;
   ParticleCache::Stats cache_stats() const { return cache_.stats(); }
@@ -221,10 +309,6 @@ class QueryEngine {
   const AnchorObjectTable& table() const { return table_; }
 
  private:
-  // The batching scheduler (query/query_scheduler.h) reuses the engine's
-  // internal stages (pruning, planning, batch inference, restricted
-  // evaluation) to serve many queries per (now) with shared work.
-  friend class QueryScheduler;
   // The subscription manager (query/subscription.h) probes the particle
   // cache and reads the collector/config to decide which standing queries
   // can provably serve their cached answer unchanged.
@@ -272,6 +356,11 @@ class QueryEngine {
   // filter, cache, and (lazily) the thread pool.
   void InitObservability();
 
+  // Serve() on a batch of one: the serial EvaluateRange / EvaluateKnn path.
+  // Its explain record keeps batched = false and batch_size = 0.
+  BatchAnswer ServeOne(const BatchQuery& query, int64_t now,
+                       int64_t deadline_ms, obs::QueryExplain* explain);
+
   // Drops memoized distributions when the query timestamp moves.
   void SyncTableTo(int64_t now);
 
@@ -303,8 +392,9 @@ class QueryEngine {
   // Picks the highest quality level whose estimated filter-seconds fit
   // deadline_ms * degrade.filter_seconds_per_ms. Pure function of the
   // candidates' histories and the cache state (work estimates, not clocks).
-  // A non-null `decision` receives the budget arithmetic for provenance;
-  // passing it never changes the plan.
+  // `candidates` must be canonical (ascending, unique). A non-null
+  // `decision` receives the budget arithmetic for provenance; passing it
+  // never changes the plan.
   InferPlan PlanInference(const std::vector<ObjectId>& candidates,
                           int64_t now, int64_t deadline_ms,
                           PlanDecision* decision = nullptr);
@@ -313,7 +403,8 @@ class QueryEngine {
   // distributions are never memoized for later full-quality queries.
   void ExecuteDegradedPlan(const InferPlan& plan, int64_t now,
                            AnchorObjectTable* out);
-  void CountPlan(const InferPlan& plan);
+  // Counts `queries` answers served at the plan's level.
+  void CountPlan(const InferPlan& plan, int64_t queries);
 
   // Explain-record helpers, all strictly observational (non-mutating cache
   // probes, counter reads): classifies each candidate's cache outcome and
@@ -341,6 +432,8 @@ class QueryEngine {
   bool CoverageDegraded(const std::vector<ObjectId>& candidates,
                         const Rect* window) const;
 
+  // The kPruneOnly answers, from uncertain regions alone; `candidates`
+  // must be canonical.
   QueryResult PruneOnlyRange(const std::vector<ObjectId>& candidates,
                              const Rect& window, int64_t now) const;
   KnnResult PruneOnlyKnn(const std::vector<ObjectId>& candidates,

@@ -4,74 +4,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "geom/point.h"
-#include "geom/rect.h"
 #include "query/query_engine.h"
 
 namespace ipqs {
-
-// One query in a batch submitted to the QueryScheduler.
-struct BatchQuery {
-  enum class Kind { kRange, kKnn };
-
-  static BatchQuery Range(const Rect& window) {
-    BatchQuery q;
-    q.kind = Kind::kRange;
-    q.window = window;
-    return q;
-  }
-  static BatchQuery Knn(const Point& point, int k) {
-    BatchQuery q;
-    q.kind = Kind::kKnn;
-    q.point = point;
-    q.k = k;
-    return q;
-  }
-
-  Kind kind = Kind::kRange;
-  Rect window;  // kRange only.
-  Point point;  // kKnn only.
-  int k = 0;    // kKnn only.
-};
-
-// Answer slot for one BatchQuery; read the member matching its kind.
-struct BatchAnswer {
-  BatchQuery::Kind kind = BatchQuery::Kind::kRange;
-  QueryResult range;
-  KnnResult knn;
-};
-
-// Per-slot serving internals surfaced to callers that maintain incremental
-// state on top of the batch (the SubscriptionManager): the canonical
-// candidate set the slot's answer was restricted to, and — for kNN with
-// pruning on — the snapped query location plus the per-reader distance
-// bounds and slack its pruning read. `dists` is empty for range queries
-// and whenever pruning was off.
-struct BatchSlotDetail {
-  std::vector<ObjectId> candidates;
-  GraphLocation snapped;
-  SourceDistances dists;
-};
 
 // Batched multi-query serving: takes a set of range/kNN queries that share
 // one evaluation timestamp and answers all of them with the per-object
 // inference work done ONCE per unique candidate object, instead of once
 // per query that wants it.
 //
-// Pipeline per batch (reusing the owning engine's internal stages):
-//   1. dedup  — byte-identical queries collapse to one evaluation whose
-//               answer is fanned back to every duplicate slot;
-//   2. prune  — each distinct query computes its own candidate set through
-//               the engine's pruning (kNN pruning reads the shared
-//               DistanceIndex tables);
-//   3. plan   — ONE admission decision for the union of all candidate
-//               sets, so a deadline's work budget is charged per unique
-//               object, not per query;
-//   4. infer  — one InferBatch over the union populates the shared
-//               APtoObjHT (or one degraded scratch table);
-//   5. answer — each distinct query evaluates against the shared table
-//               restricted to its own candidates, exactly as the serial
-//               path would.
+// The scheduler is the batched front end of the engine's one query
+// pipeline (QueryEngine::Serve: dedup -> prune -> plan -> infer ->
+// evaluate -> coverage -> explain). On top of it the scheduler keeps the
+// qps.* metrics, which count EvaluateBatch calls only, and marks its
+// explain records as batched.
 //
 // Determinism: every answer is byte-identical to evaluating the same query
 // alone through QueryEngine::EvaluateRange / EvaluateKnn at the same `now`

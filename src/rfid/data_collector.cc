@@ -46,7 +46,7 @@ void DataCollector::NoteReaderObserved(ReaderId reader, int64_t time) {
     reader_observed_.resize(static_cast<size_t>(reader) + 1, 0);
   }
   ++reader_observed_[reader];
-  MarkReaderLive(reader, time);
+  MarkReadersLive({&reader, 1}, time);
 }
 
 void DataCollector::NoteReaderHeartbeat(ReaderId reader, int64_t time) {
@@ -55,16 +55,20 @@ void DataCollector::NoteReaderHeartbeat(ReaderId reader, int64_t time) {
     reader_heartbeats_.resize(static_cast<size_t>(reader) + 1, 0);
   }
   ++reader_heartbeats_[reader];
-  MarkReaderLive(reader, time);
+  MarkReadersLive({&reader, 1}, time);
 }
 
-void DataCollector::MarkReaderLive(ReaderId reader, int64_t time) {
-  std::vector<uint8_t>& live = live_by_second_[time];
-  if (static_cast<size_t>(reader) >= live.size()) {
-    live.resize(static_cast<size_t>(reader) + 1, 0);
+void DataCollector::MarkReadersLive(std::span<const ReaderId> readers,
+                                    int64_t second) {
+  std::vector<uint8_t>& live = live_by_second_[second];
+  for (ReaderId reader : readers) {
+    IPQS_CHECK_GE(reader, 0);
+    if (static_cast<size_t>(reader) >= live.size()) {
+      live.resize(static_cast<size_t>(reader) + 1, 0);
+    }
+    live[reader] = 1;
   }
-  live[reader] = 1;
-  live_max_ = std::max(live_max_, time);
+  live_max_ = std::max(live_max_, second);
   while (!live_by_second_.empty() &&
          live_by_second_.begin()->first < live_max_ - kLivenessWindowSeconds) {
     live_by_second_.erase(live_by_second_.begin());

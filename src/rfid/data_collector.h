@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -193,14 +194,23 @@ class DataCollector {
                : 0;
   }
 
-  // True when `reader` produced at least one raw reading timestamped
-  // `second`. Retention is bounded (kLivenessWindowSeconds behind the
-  // newest observed timestamp); seconds older than the window report true
-  // — unknown history is assumed live, which reproduces the legacy
-  // negative-information weighting for deep replays. This state is
+  // True when `reader` produced at least one raw reading or heartbeat
+  // timestamped `second`. Retention is bounded (kLivenessWindowSeconds
+  // behind the newest observed timestamp); seconds older than the window
+  // report true — unknown history is assumed live, which reproduces the
+  // legacy negative-information weighting for deep replays. This state is
   // process-local: it is NOT part of PersistedState (the serde format is
-  // frozen), so a recovered collector reports true until re-warmed.
+  // frozen). RestoreState empties it, so a restored collector reports
+  // false — silence uninformative — for every second until re-marked
+  // (Simulation recovery re-marks the retained window; see
+  // MarkReadersLive).
   bool ReaderLiveAt(ReaderId reader, int64_t second) const;
+
+  // Marks `readers` live at `second` without counting heartbeats: recovery
+  // re-marks the seconds a restored collector lost with the heartbeats the
+  // live process noted, leaving the cumulative counters the health monitor
+  // diffs untouched.
+  void MarkReadersLive(std::span<const ReaderId> readers, int64_t second);
 
   // Liveness retention window (seconds behind the newest observed
   // timestamp). Generously covers max_coast_seconds-deep replays.
@@ -289,7 +299,6 @@ class DataCollector {
   // liveness ring maps second -> per-reader seen flags, pruned to
   // kLivenessWindowSeconds behind live_max_.
   void NoteReaderObserved(ReaderId reader, int64_t time);
-  void MarkReaderLive(ReaderId reader, int64_t time);
   std::vector<int64_t> reader_observed_;
   std::vector<int64_t> reader_heartbeats_;
   std::map<int64_t, std::vector<uint8_t>> live_by_second_;

@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -220,6 +221,23 @@ Status Simulation::RecoverServingState() {
     collector_.Flush(record.time);
     now_ = record.time;
   }
+  // Neither the snapshot nor the WAL holds heartbeats, so the restored
+  // liveness ring knows only the replayed readings. Re-mark every second
+  // it retains with the heartbeats Step noted; otherwise negative
+  // information would treat the silence of up-but-tagless readers as
+  // uninformative and recovered answers would differ. A reader's up/down
+  // state is drawn per fault epoch (FaultPlan::ReaderDownAt), so the up
+  // set is drawn once per epoch, not once per second.
+  const int64_t first =
+      std::max<int64_t>(1, now_ - DataCollector::kLivenessWindowSeconds);
+  const int64_t epoch = std::max(config_.faults.dropout_epoch_seconds, 1);
+  std::vector<ReaderId> up;
+  for (int64_t second = first; second <= now_; ++second) {
+    if (second == first || second % epoch == 0) {
+      up = UpReaders(second);
+    }
+    collector_.MarkReadersLive(up, second);
+  }
   recovery_report_.recovered = true;
   recovery_report_.from_snapshot = recovered.have_snapshot;
   recovery_report_.snapshot_time = recovered.snapshot_time;
@@ -233,6 +251,17 @@ Status Simulation::RecoverServingState() {
   }
   return checkpoint_.OpenAfterRecover(config_.persist, persist_metrics_,
                                       recovered);
+}
+
+std::vector<ReaderId> Simulation::UpReaders(int64_t second) const {
+  std::vector<ReaderId> up;
+  up.reserve(deployment_.num_readers());
+  for (ReaderId r = 0; r < deployment_.num_readers(); ++r) {
+    if (injector_ == nullptr || !injector_->ReaderDown(r, second)) {
+      up.push_back(r);
+    }
+  }
+  return up;
 }
 
 Status Simulation::CheckpointNow() {
@@ -253,10 +282,8 @@ void Simulation::Step() {
   // second, tags in range or not; a reader in a down epoch reports
   // nothing. Missed heartbeats give the health monitor an unambiguous
   // failure signal that tag-read silence (objects simply elsewhere) is not.
-  for (int r = 0; r < deployment_.num_readers(); ++r) {
-    if (injector_ == nullptr || !injector_->ReaderDown(r, now_)) {
-      collector_.NoteReaderHeartbeat(r, now_);
-    }
+  for (ReaderId r : UpReaders(now_)) {
+    collector_.NoteReaderHeartbeat(r, now_);
   }
   for (const RawReading& r : batch) {
     collector_.Observe(r);

@@ -206,8 +206,12 @@ class Simulation {
   // Serving state as of now_, ready to write out.
   persist::SnapshotData BuildSnapshot() const;
   // Restores snapshot state (if any) and replays the WAL tail through the
-  // normal ingestion path (Observe + Flush, second by second).
+  // normal ingestion path (Observe + Flush, second by second), then
+  // re-marks the collector's reader liveness for every retained second.
   Status RecoverServingState();
+  // The readers that are up at `second` under the fault plan (all of them
+  // without one): those whose heartbeat Step notes.
+  std::vector<ReaderId> UpReaders(int64_t second) const;
 
   SimulationConfig config_;
   FloorPlan plan_;

@@ -28,7 +28,8 @@ class ContinuousFixture : public ::testing::Test {
 
 TEST_F(ContinuousFixture, RangeMonitorReportsDeltasNotSnapshots) {
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(5).pos, 12, 12);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.5);
+  SubscriptionManager manager(&sim_->pf_engine());
+  ContinuousRangeMonitor monitor(&manager, zone, 0.5);
 
   const RangeUpdate first = monitor.Poll(sim_->now());
   // The very first poll reports every current member as "entered".
@@ -42,7 +43,8 @@ TEST_F(ContinuousFixture, RangeMonitorReportsDeltasNotSnapshots) {
 
 TEST_F(ContinuousFixture, RangeMonitorMembershipConsistent) {
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(9).pos, 14, 14);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.4);
+  SubscriptionManager manager(&sim_->pf_engine());
+  ContinuousRangeMonitor monitor(&manager, zone, 0.4);
   for (int i = 0; i < 5; ++i) {
     sim_->Run(10);
     const RangeUpdate update = monitor.Poll(sim_->now());
@@ -64,7 +66,8 @@ TEST_F(ContinuousFixture, RangeMonitorMembershipConsistent) {
 
 TEST_F(ContinuousFixture, KnnMonitorTracksTopK) {
   const Point q = sim_->deployment().reader(9).pos;
-  ContinuousKnnMonitor monitor(&sim_->pf_engine(), q, 3);
+  SubscriptionManager manager(&sim_->pf_engine());
+  ContinuousKnnMonitor monitor(&manager, q, 3);
 
   const KnnUpdate first = monitor.Poll(sim_->now());
   EXPECT_LE(first.current.size(), 3u);
@@ -91,7 +94,8 @@ TEST_F(ContinuousFixture, RangeDeltaReplayReconstructsMembership) {
   // — membership is what the delta stream promises, so the replay tracks
   // the set and the entered probabilities are checked at entry time.)
   const Rect zone = Rect::FromCenter(sim_->deployment().reader(7).pos, 14, 14);
-  ContinuousRangeMonitor monitor(&sim_->pf_engine(), zone, 0.4);
+  SubscriptionManager manager(&sim_->pf_engine());
+  ContinuousRangeMonitor monitor(&manager, zone, 0.4);
   std::set<ObjectId> replay;
   for (int i = 0; i < 6; ++i) {
     const RangeUpdate update = monitor.Poll(sim_->now());
@@ -114,7 +118,8 @@ TEST_F(ContinuousFixture, RangeDeltaReplayReconstructsMembership) {
 
 TEST_F(ContinuousFixture, KnnDeltaReplayAndNoEnterLeaveSamePoll) {
   const Point q = sim_->deployment().reader(3).pos;
-  ContinuousKnnMonitor monitor(&sim_->pf_engine(), q, 3);
+  SubscriptionManager manager(&sim_->pf_engine());
+  ContinuousKnnMonitor monitor(&manager, q, 3);
   std::set<ObjectId> replay;
   for (int i = 0; i < 6; ++i) {
     const KnnUpdate update = monitor.Poll(sim_->now());

@@ -325,6 +325,111 @@ TEST(ExplainTest, BatchExplainOnOffAnswersIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Serial vs batch-of-one parity.
+
+// Serves `query` alone, serially or as a batch of one, and returns its
+// explain record.
+obs::QueryExplain ServeAlone(Simulation& sim, const BatchQuery& query,
+                             int64_t now, int64_t deadline_ms, bool batched,
+                             BatchAnswer* answer) {
+  obs::QueryExplain e;
+  if (batched) {
+    QueryScheduler scheduler(&sim.pf_engine());
+    std::vector<obs::QueryExplain> explains;
+    *answer = scheduler.EvaluateBatch({query}, now, deadline_ms, &explains)[0];
+    return explains[0];
+  }
+  answer->kind = query.kind;
+  if (query.kind == BatchQuery::Kind::kRange) {
+    answer->range =
+        sim.pf_engine().EvaluateRange(query.window, now, deadline_ms, &e);
+  } else {
+    answer->knn = sim.pf_engine().EvaluateKnn(query.point, query.k, now,
+                                              deadline_ms, &e);
+  }
+  return e;
+}
+
+// A record without its batch context and timings: what serial and
+// batch-of-one serving must agree on.
+std::string ComparableJson(obs::QueryExplain e) {
+  e.batched = false;
+  e.batch_size = 0;
+  return e.ToJson(/*include_timings=*/false);
+}
+
+TEST(ExplainTest, SerialRecordMatchesBatchOfOneOnEveryRung) {
+  // Every rung, for range and kNN, with pruning on and off: serving a
+  // query alone through EvaluateRange/EvaluateKnn or as a batch of one
+  // through the scheduler must give the same answer and the same record
+  // in every field but batched, batch_size and the timings. Each arm gets
+  // its own fresh world so the cache states match.
+  const char* const kRungs[] = {"full", "cached_stale", "reduced_particles",
+                                "prune_only"};
+  for (const bool pruning : {true, false}) {
+    for (const bool knn : {false, true}) {
+      for (const std::string rung : kRungs) {
+        SCOPED_TRACE(std::string(knn ? "knn" : "range") + " pruning=" +
+                     (pruning ? "on" : "off") + " rung=" + rung);
+        SimulationConfig config = BaseConfig();
+        config.use_pruning = pruning;
+        // No cache, no stale rung: forces the reduced-particle choice.
+        config.use_cache = rung != "reduced_particles";
+        std::unique_ptr<Simulation> serial = FreshSim(config);
+        std::unique_ptr<Simulation> batched = FreshSim(config);
+        Rng rng(40);
+        const BatchQuery query =
+            knn ? BatchQuery::Knn(
+                      Experiment::RandomIndoorPoint(serial->anchors(), rng), 3)
+                : BatchQuery::Range(Window(*serial, 41));
+        int64_t now = serial->now();
+        int64_t deadline_ms = 0;  // "full": no deadline.
+        if (rung == "cached_stale") {
+          // Warm every object's cache entry, then choke the budget one
+          // second later.
+          for (Simulation* sim : {serial.get(), batched.get()}) {
+            sim->pf_engine().InferBatch(sim->collector().KnownObjects(), now);
+          }
+          now += 1;
+          deadline_ms = 1;
+        } else if (rung == "reduced_particles") {
+          // 60% of this query's full cost: kFull does not fit, the
+          // reduced plan (16 of 64 particles) does.
+          std::unique_ptr<Simulation> probe = FreshSim(config);
+          BatchAnswer ignored;
+          const obs::QueryExplain costed = ServeAlone(
+              *probe, query, now, /*deadline_ms=*/1 << 30, false, &ignored);
+          deadline_ms = static_cast<int64_t>(costed.est_full_cost * 0.6);
+        } else if (rung == "prune_only") {
+          deadline_ms = 1;  // Cold cache: nothing fits.
+        }
+
+        BatchAnswer want;
+        BatchAnswer got;
+        const obs::QueryExplain serial_e =
+            ServeAlone(*serial, query, now, deadline_ms, false, &want);
+        const obs::QueryExplain batch_e =
+            ServeAlone(*batched, query, now, deadline_ms, true, &got);
+        EXPECT_EQ(serial_e.quality, rung);
+        EXPECT_FALSE(serial_e.batched);
+        EXPECT_EQ(serial_e.batch_size, 0);
+        EXPECT_TRUE(batch_e.batched);
+        EXPECT_EQ(batch_e.batch_size, 1);
+        EXPECT_EQ(ComparableJson(serial_e), ComparableJson(batch_e));
+        if (knn) {
+          EXPECT_EQ(want.knn.result.objects, got.knn.result.objects);
+          EXPECT_EQ(want.knn.result.quality, got.knn.result.quality);
+          EXPECT_EQ(want.knn.total_probability, got.knn.total_probability);
+        } else {
+          EXPECT_EQ(want.range.objects, got.range.objects);
+          EXPECT_EQ(want.range.quality, got.range.quality);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // JSON export.
 
 TEST(ExplainTest, JsonParsesAndCarriesTheDecisionPaths) {

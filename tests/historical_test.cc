@@ -173,5 +173,87 @@ TEST_F(HistoricalFixture, DifferentTimesGiveDifferentAnswers) {
   EXPECT_TRUE(differs);
 }
 
+TEST_F(HistoricalFixture, PanelAnswersIndependentOfQueryOrder) {
+  // Two fresh engines answer the same panel of range and kNN queries at
+  // several past instants in opposite orders. Every answer is a pure
+  // function of (seed, store, time, query), so the runs agree byte for
+  // byte.
+  struct Item {
+    int64_t time;
+    bool knn;
+    Rect window;
+    Point point;
+  };
+  Rng rng(2024);
+  std::vector<Item> panel;
+  for (const int64_t time : {int64_t{120}, int64_t{170}, int64_t{220},
+                             past_time_, sim_->now()}) {
+    for (int i = 0; i < 4; ++i) {
+      const Rect window = Experiment::RandomWindow(sim_->plan(), 0.05, rng);
+      const Point point = Experiment::RandomIndoorPoint(sim_->anchors(), rng);
+      panel.push_back({time, false, window, {}});
+      panel.push_back({time, true, {}, point});
+    }
+  }
+  const auto answer_all = [&](bool reversed) {
+    EngineConfig engine_config;
+    engine_config.seed = 5;
+    HistoricalEngine engine(&sim_->graph(), &sim_->plan(), &sim_->anchors(),
+                            &sim_->anchor_graph(), &sim_->deployment(),
+                            &sim_->deployment_graph(), &sim_->history(),
+                            engine_config);
+    std::vector<KnnResult> answers(panel.size());
+    for (size_t n = 0; n < panel.size(); ++n) {
+      const size_t i = reversed ? panel.size() - 1 - n : n;
+      const Item& item = panel[i];
+      if (item.knn) {
+        answers[i] = engine.EvaluateKnnAt(item.point, 3, item.time);
+      } else {
+        answers[i].result = engine.EvaluateRangeAt(item.window, item.time);
+      }
+    }
+    return answers;
+  };
+
+  const std::vector<KnnResult> forward = answer_all(false);
+  const std::vector<KnnResult> backward = answer_all(true);
+  int answered = 0;
+  for (size_t i = 0; i < panel.size(); ++i) {
+    EXPECT_EQ(forward[i].result.objects, backward[i].result.objects)
+        << (panel[i].knn ? "knn" : "range") << " query " << i << " at t="
+        << panel[i].time;
+    EXPECT_EQ(forward[i].total_probability, backward[i].total_probability);
+    answered += forward[i].result.objects.empty() ? 0 : 1;
+  }
+  EXPECT_GT(answered, static_cast<int>(panel.size()) / 2);
+}
+
+TEST_F(HistoricalFixture, AtNowMatchesCacheOffLiveEngine) {
+  // On a clean world the store's snapshot at `now` is the live collector
+  // (SnapshotMatchesLiveCollector), so a historical query at `now` answers
+  // exactly like a cache-off engine over the live collector with the same
+  // seed.
+  EngineConfig live_config;
+  live_config.seed = 5;
+  live_config.use_cache = false;
+  QueryEngine live(&sim_->graph(), &sim_->plan(), &sim_->anchors(),
+                   &sim_->anchor_graph(), &sim_->deployment(),
+                   &sim_->deployment_graph(), &sim_->collector(),
+                   live_config);
+  const int64_t now = sim_->now();
+  Rng rng(77);
+  for (int i = 0; i < 8; ++i) {
+    const Rect window = Experiment::RandomWindow(sim_->plan(), 0.05, rng);
+    EXPECT_EQ(engine_->EvaluateRangeAt(window, now).objects,
+              live.EvaluateRange(window, now).objects)
+        << "range query " << i;
+    const Point point = Experiment::RandomIndoorPoint(sim_->anchors(), rng);
+    const KnnResult want = live.EvaluateKnn(point, 3, now);
+    const KnnResult got = engine_->EvaluateKnnAt(point, 3, now);
+    EXPECT_EQ(got.result.objects, want.result.objects) << "knn query " << i;
+    EXPECT_EQ(got.total_probability, want.total_probability);
+  }
+}
+
 }  // namespace
 }  // namespace ipqs

@@ -32,11 +32,15 @@ constexpr int kSnapshotInterval = 25;  // Snapshots at t=25 and t=50.
 struct RunParams {
   int num_threads = 1;
   bool faulted = false;
+  // Negative information weights silence by per-second reader liveness,
+  // which neither snapshots nor the WAL carry: recovery must rebuild it.
+  bool negative_info = false;
 };
 
 std::string ParamName(const ::testing::TestParamInfo<RunParams>& info) {
   return "threads" + std::to_string(info.param.num_threads) +
-         (info.param.faulted ? "_faulted" : "_clean");
+         (info.param.faulted ? "_faulted" : "_clean") +
+         (info.param.negative_info ? "_neginfo" : "");
 }
 
 class RecoveryTest : public ::testing::TestWithParam<RunParams> {
@@ -47,6 +51,8 @@ class RecoveryTest : public ::testing::TestWithParam<RunParams> {
     config.num_readers = 10;
     config.seed = 123;
     config.num_threads = GetParam().num_threads;
+    config.filter.measurement.use_negative_information =
+        GetParam().negative_info;
     if (GetParam().faulted) {
       // The chaos fault channels from src/faults/, plus the reorder buffer
       // sized to the delivery bound — the configuration the hardened
@@ -262,7 +268,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, RecoveryTest,
                                            RunParams{8, false},
                                            RunParams{1, true},
                                            RunParams{4, true},
-                                           RunParams{8, true}),
+                                           RunParams{8, true},
+                                           RunParams{1, false, true},
+                                           RunParams{1, true, true},
+                                           RunParams{4, true, true}),
                          ParamName);
 
 TEST(RecoveryConfigTest, RecoverWithoutDirIsInvalid) {

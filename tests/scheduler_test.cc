@@ -151,5 +151,36 @@ TEST(SchedulerTest, DeadlineBudgetChargedPerUniqueObjectNotPerQuery) {
   EXPECT_EQ(sim->pf_engine().stats().filter_seconds, cost);
 }
 
+TEST(SchedulerTest, StageTimersRecordOncePerPassOnBothEntryPoints) {
+  // Batched and serial serving run the same pipeline, so both record the
+  // prune and evaluate stage histograms: a batch leaves observations in
+  // each, and a serial call adds exactly one to each.
+  obs::MetricsRegistry registry;
+  SimulationConfig config = BaseConfig(1);
+  config.metrics = &registry;
+  std::unique_ptr<Simulation> sim = FreshSim(config);
+  const int64_t now = sim->now();
+  const obs::Histogram* prune = registry.GetHistogram("pf.stage.prune_ns");
+  const obs::Histogram* evaluate =
+      registry.GetHistogram("pf.stage.evaluate_ns");
+
+  QueryScheduler scheduler(&sim->pf_engine());
+  scheduler.EvaluateBatch(MixedBatch(*sim, 8), now);
+  const int64_t batch_prunes = prune->snapshot().count;
+  const int64_t batch_evaluates = evaluate->snapshot().count;
+  EXPECT_GT(batch_prunes, 0);
+  EXPECT_GT(batch_evaluates, 0);
+
+  sim->pf_engine().EvaluateRange(
+      Experiment::RandomWindow(sim->plan(), 0.05, sim->query_rng()), now);
+  EXPECT_EQ(prune->snapshot().count, batch_prunes + 1);
+  EXPECT_EQ(evaluate->snapshot().count, batch_evaluates + 1);
+
+  sim->pf_engine().EvaluateKnn(
+      Experiment::RandomIndoorPoint(sim->anchors(), sim->query_rng()), 3, now);
+  EXPECT_EQ(prune->snapshot().count, batch_prunes + 2);
+  EXPECT_EQ(evaluate->snapshot().count, batch_evaluates + 2);
+}
+
 }  // namespace
 }  // namespace ipqs

@@ -59,14 +59,17 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
        "Simulated seconds of reading history pushed through filters — the "
        "unit the deadline budget is charged in."},
       {"<engine>.query.range_latency_ns",
-       "End-to-end range query wall time."},
-      {"<engine>.query.knn_latency_ns", "End-to-end kNN query wall time."},
-      {"<engine>.stage.prune_ns", "Candidate pruning stage wall time."},
+       "End-to-end serial range query wall time."},
+      {"<engine>.query.knn_latency_ns",
+       "End-to-end serial kNN query wall time."},
+      {"<engine>.stage.prune_ns",
+       "Candidate pruning stage wall time, once per serving pass (a serial "
+       "query or a batch)."},
       {"<engine>.stage.infer_ns", "Inference stage wall time."},
       {"<engine>.stage.merge_ns",
        "Merging per-object distributions into the anchor table."},
       {"<engine>.stage.evaluate_ns",
-       "Evaluating the query against the anchor table."},
+       "Evaluating a pass's queries against the anchor table."},
       // Degradation ladder.
       {"<engine>.degrade.full", "Queries served at full quality."},
       {"<engine>.degrade.cached_stale",
