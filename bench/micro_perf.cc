@@ -44,11 +44,14 @@ obs::TimeSeriesSampler& Sampler() {
 bool g_metrics_enabled = false;
 bool g_series_enabled = false;
 
+// Object count of the shared world; recorded in the benchmark context.
+int WorldObjects() { return bench::FastMode() ? 80 : 200; }
+
 // One shared world, built once: benchmarks measure steady-state costs.
 Simulation& World() {
   static Simulation* world = [] {
     SimulationConfig config;
-    config.trace.num_objects = bench::FastMode() ? 80 : 200;
+    config.trace.num_objects = WorldObjects();
     config.seed = 7;
     if (g_metrics_enabled || g_series_enabled) {
       config.metrics = &Registry();
@@ -95,11 +98,12 @@ void BM_ShortestPath(benchmark::State& state) {
 BENCHMARK(BM_ShortestPath);
 
 // ---------------------------------------------------------------------------
-// Filter stage benchmarks: the three inner stages of Algorithm 2 (predict,
-// weight, resample) measured in isolation at filter-realistic particle
-// counts. `items_per_second` is particle-stage-steps per second; these
-// rows back the SoA-kernel speedup claims and feed the perf-regression
-// guard (scripts/check_perf.py) via the IPQS_BENCH_JSON output.
+// Filter stage benchmarks: the inner stages of Algorithm 2 (predict,
+// weight, resample, and the post-resample roughening) measured in
+// isolation at filter-realistic particle counts. `items_per_second` is
+// particle-stage-steps per second; these rows back the SoA-kernel speedup
+// claims, and all but the roughening rows feed the perf-regression guard
+// (scripts/check_perf.py) via the IPQS_BENCH_JSON output.
 
 constexpr int kStageSteps = 16;  // Simulated seconds per timed iteration.
 
@@ -195,6 +199,31 @@ void BM_ResampleStage(benchmark::State& state) {
                           static_cast<int64_t>(base.size()));
 }
 BENCHMARK(BM_ResampleStage)->Arg(64)->Arg(1024);
+
+void BM_RoughenStage(benchmark::State& state) {
+  // Two Gaussian draws per hallway particle (position, then speed): the
+  // cost of the random-number layer inside the resample step.
+  Simulation& sim = World();
+  FilterConfig config;
+  config.num_particles = static_cast<int>(state.range(0));
+  const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
+  Rng init_rng(29);
+  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const MotionModel& motion = filter.motion_model();
+  const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
+  ParticleSoA soa;
+  Rng rng(31);
+  for (auto _ : state) {
+    soa.AssignFrom(base);
+    for (int s = 0; s < kStageSteps; ++s) {
+      motion.RoughenAll(edges, &soa, rng);
+    }
+    benchmark::DoNotOptimize(soa.offset.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kStageSteps *
+                          static_cast<int64_t>(base.size()));
+}
+BENCHMARK(BM_RoughenStage)->Arg(64)->Arg(1024);
 
 void BM_Resample(benchmark::State& state) {
   Rng rng(1);
@@ -355,6 +384,11 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
+  // Which world the numbers come from: the JSON output carries these in
+  // its "context" block.
+  benchmark::AddCustomContext("ipqs_fast", ipqs::bench::FastMode() ? "1" : "0");
+  benchmark::AddCustomContext("world_objects",
+                              std::to_string(ipqs::WorldObjects()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -1,8 +1,9 @@
 #ifndef IPQS_COMMON_RNG_H_
 #define IPQS_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <limits>
 #include <vector>
 
 namespace ipqs {
@@ -13,9 +14,24 @@ namespace ipqs {
 // All randomness flows through explicitly passed Rng& so that simulations
 // and experiments are exactly reproducible from a single seed. Components
 // never construct their own generators from wall-clock entropy.
+//
+// The engine and every distribution are written here, so the bits a seed
+// produces are fixed by this file rather than by a standard library:
+//   * engine: xoshiro256++ (Blackman & Vigna, 2018), 32 bytes of state,
+//     seeded with four successive SplitMix64 outputs from the seed;
+//   * Uniform01: the top 53 bits of one raw draw, times 2^-53;
+//   * UniformIndex/UniformInt: Lemire's unbiased multiply-and-reject
+//     bounded draw: one raw draw, redrawn with probability below n / 2^64
+//     for a bound of n;
+//   * Bernoulli(p): Uniform01() < p, always exactly one raw draw;
+//   * Gaussian: Marsaglia's polar method. Each accepted pair yields two
+//     standard normals; the first is returned and the second is kept as a
+//     pending spare that the next Gaussian call (of any mu/sigma) returns
+//     without drawing. Uniform/Bernoulli/integer draws in between do not
+//     touch the spare. Its std::log is the one libm call on any path here.
 class Rng {
  public:
-  explicit Rng(uint64_t seed) : engine_(seed) {}
+  explicit Rng(uint64_t seed);
 
   Rng(const Rng&) = delete;
   Rng& operator=(const Rng&) = delete;
@@ -26,7 +42,9 @@ class Rng {
   double Uniform(double lo, double hi);
 
   // Uniform double in [0, 1).
-  double Uniform01();
+  double Uniform01() {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform integer in [lo, hi] (inclusive).
   int UniformInt(int lo, int hi);
@@ -39,9 +57,9 @@ class Rng {
 
   // Batched draws for the data-oriented filter kernels: fills out[0..n)
   // with exactly the values n successive Gaussian()/Uniform01() calls
-  // would produce — byte-identical sequence, same engine state afterwards.
-  // Batching hoists the per-call distribution setup out of consumer loops
-  // and keeps those loops branch-light; it never changes draw order.
+  // would produce, and leaves the generator (pending Gaussian spare
+  // included) exactly where those calls would. Batching never changes
+  // draw order.
   void GaussianBatch(double mu, double sigma, size_t n, double* out);
   void Uniform01Batch(size_t n, double* out);
 
@@ -61,18 +79,40 @@ class Rng {
   // function of (seed, stream, substream) — no shared state, no dependence
   // on how much any other stream has consumed. Used to give every
   // (object, timestamp) inference its own stream so per-object filtering
-  // is order- and thread-count-invariant.
+  // is order- and thread-count-invariant. Costs a handful of SplitMix64
+  // rounds, so a stream per inference or per reading is cheap.
   static Rng ForStream(uint64_t seed, uint64_t stream, uint64_t substream);
 
-  // UniformRandomBitGenerator interface so <random> distributions and
-  // std::shuffle can consume this directly.
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
-  result_type operator()() { return engine_(); }
+  // UniformRandomBitGenerator interface (std::shuffle and friends):
+  // one raw 64-bit xoshiro256++ output per call.
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+  result_type operator()() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
  private:
-  std::mt19937_64 engine_;
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  // Unbiased draw in [0, n) for n > 0 (Lemire, "Fast Random Integer
+  // Generation in an Interval", TOMACS 2019).
+  uint64_t Bounded(uint64_t n);
+
+  uint64_t s_[4];
+  // Second variate of the last polar-method pair, valid iff has_spare_.
+  double spare_ = 0.0;
+  bool has_spare_ = false;
 };
 
 }  // namespace ipqs

@@ -199,7 +199,13 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
           config_.resample_ess_fraction * static_cast<double>(soa.size());
       if (EffectiveSampleSize(soa) <= ess_threshold) {
         Resample(config_.resampling, &soa, &arena, rng);
+        const bool time_roughen = timed && metrics_.roughen_ns != nullptr;
+        const int64_t roughen_start =
+            time_roughen ? obs::MonotonicNanos() : 0;
         motion_.RoughenAll(edges, &soa, rng);
+        if (time_roughen) {
+          metrics_.roughen_ns->Observe(obs::MonotonicNanos() - roughen_start);
+        }
       }
       if (timed && metrics_.resample_ns != nullptr) {
         metrics_.resample_ns->Observe(obs::MonotonicNanos() - stage_start);

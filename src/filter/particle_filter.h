@@ -30,6 +30,9 @@ struct FilterMetrics {
   obs::Histogram* predict_ns = nullptr;   // Sampled per-second motion step.
   obs::Histogram* weight_ns = nullptr;    // Sampled per-second reweight.
   obs::Histogram* resample_ns = nullptr;  // Sampled per-second resample.
+  // RoughenAll alone, on the same sampled seconds, nested in resample_ns
+  // (which also covers normalize, ESS and the resampler itself).
+  obs::Histogram* roughen_ns = nullptr;
   obs::Gauge* particles = nullptr;        // Particle count of the last run.
   // Mid-stream re-seeds: seconds where the whole cloud contradicted a
   // reading and the filter re-initialized at the detecting reader. A

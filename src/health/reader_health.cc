@@ -149,11 +149,15 @@ void ReaderHealthMonitor::Tick(int64_t now) {
     }
 
     s.silent_run = active ? 0 : s.silent_run + 1;
+    // A reader below the baseline gate saw (next to) no tags while
+    // provably healthy, so it has no burst baseline either: the first
+    // ordinary crowd it sees would otherwise read as a ghost flood.
     const double anomaly_threshold =
         config_.ghost_factor *
         std::max(s.peak_rate, config_.min_baseline_rate);
-    s.anomaly_run =
-        static_cast<double>(delta) > anomaly_threshold ? s.anomaly_run + 1 : 0;
+    const bool anomalous = s.baseline_rate >= config_.min_baseline_rate &&
+                           static_cast<double>(delta) > anomaly_threshold;
+    s.anomaly_run = anomalous ? s.anomaly_run + 1 : 0;
 
     switch (s.health) {
       case ReaderHealth::kHealthy:

@@ -53,10 +53,12 @@ struct ReaderHealthConfig {
   int probation_seconds = 5;
 
   // Readers whose warmup baseline rate is below this never trip the
-  // silence detector — a reader that was near-silent while healthy gives
-  // the monitor no signal to distinguish death from quiet coverage.
-  // Heartbeat-capable readers (below) bypass this gate: their liveness
-  // signal does not depend on tag traffic.
+  // silence detector or the ghost-burst detector — a reader that was
+  // near-silent while healthy gives the monitor no signal to distinguish
+  // death from quiet coverage, or a flood from ordinary traffic.
+  // Heartbeat-capable readers (below) bypass this gate for silence only:
+  // their liveness signal does not depend on tag traffic, but their tag
+  // rate still does.
   double min_baseline_rate = 0.2;
 
   // A reader whose warmup heartbeat rate reaches this is heartbeat-capable:
@@ -74,7 +76,9 @@ struct ReaderHealthConfig {
   // (its readings are flooding, not informative). The threshold anchors on
   // the busiest second the reader exhibited while provably healthy — not
   // its mean — so naturally bursty coverage (a junction reader seeing a
-  // crowd pass) stays inside it.
+  // crowd pass) stays inside it. Gated by `min_baseline_rate` (above): a
+  // reader that saw no tags during warmup has no burst baseline, and two
+  // objects lingering in its range would otherwise trip it.
   double ghost_factor = 8.0;
   int anomaly_suspect_count = 3;
 };

@@ -133,6 +133,7 @@ void QueryEngine::InitObservability() {
   filter_metrics.weight_ns = metrics_->GetHistogram(p + ".filter.weight_ns");
   filter_metrics.resample_ns =
       metrics_->GetHistogram(p + ".filter.resample_ns");
+  filter_metrics.roughen_ns = metrics_->GetHistogram(p + ".filter.roughen_ns");
   filter_metrics.particles = metrics_->GetGauge(p + ".filter.particles");
   filter_metrics.reseeds = metrics_->GetCounter(p + ".filter.reseed_total");
   filter_.SetMetrics(filter_metrics);
@@ -440,9 +441,9 @@ QueryEngine::ServeCounts QueryEngine::Serve(
       if (!config_.use_pruning) {
         d.restrict = known_objects;
       } else if (query.kind == BatchQuery::Kind::kRange) {
-        d.restrict = FilterRangeCandidates(*collector_, *deployment_,
-                                           {query.window}, now,
-                                           config_.max_speed);
+        d.restrict = FilterRangeCandidates(
+            *collector_, *deployment_, range_eval_.Footprint(query.window),
+            now, config_.max_speed);
       } else {
         d.qd = DistancesFor(d.q);
         d.restrict = FilterKnnCandidates(*collector_, *deployment_, *d.qd,

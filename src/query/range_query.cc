@@ -55,6 +55,44 @@ RangeQueryEvaluator::RangeQueryEvaluator(const FloorPlan* plan,
     : plan_(plan), anchors_(anchors) {
   IPQS_CHECK(plan != nullptr);
   IPQS_CHECK(anchors != nullptr);
+  room_anchor_bounds_.reserve(plan_->rooms().size());
+  for (const Room& r : plan_->rooms()) {
+    std::optional<Rect> bounds;
+    for (AnchorId a : anchors_->InRoom(r.id)) {
+      const Point& p = anchors_->anchor(a).pos;
+      if (!bounds.has_value()) {
+        bounds = Rect(p.x, p.y, p.x, p.y);
+      } else {
+        bounds->min_x = std::min(bounds->min_x, p.x);
+        bounds->min_y = std::min(bounds->min_y, p.y);
+        bounds->max_x = std::max(bounds->max_x, p.x);
+        bounds->max_y = std::max(bounds->max_y, p.y);
+      }
+    }
+    room_anchor_bounds_.push_back(bounds);
+  }
+}
+
+std::vector<Rect> RangeQueryEvaluator::Footprint(const Rect& window) const {
+  std::vector<Rect> footprint = {window};
+  for (const Hallway& h : plan_->hallways()) {
+    const Rect bounds = h.Bounds();
+    if (!bounds.Intersects(window)) {
+      continue;
+    }
+    const Rect clip = bounds.Intersection(window);
+    footprint.push_back(h.IsHorizontal() ? Rect(clip.min_x, bounds.min_y,
+                                                clip.max_x, bounds.max_y)
+                                         : Rect(bounds.min_x, clip.min_y,
+                                                bounds.max_x, clip.max_y));
+  }
+  for (size_t i = 0; i < plan_->rooms().size(); ++i) {
+    if (room_anchor_bounds_[i].has_value() &&
+        plan_->rooms()[i].bounds.Intersects(window)) {
+      footprint.push_back(*room_anchor_bounds_[i]);
+    }
+  }
+  return footprint;
 }
 
 QueryResult RangeQueryEvaluator::Evaluate(const AnchorObjectTable& table,

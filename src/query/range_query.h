@@ -1,6 +1,7 @@
 #ifndef IPQS_QUERY_RANGE_QUERY_H_
 #define IPQS_QUERY_RANGE_QUERY_H_
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -54,9 +55,21 @@ class RangeQueryEvaluator {
   QueryResult Evaluate(const AnchorObjectTable& table, const Rect& window,
                        const std::vector<ObjectId>* restrict_to) const;
 
+  // Where `window` draws probability from under the rules above: the
+  // window itself, the full-width strip of every hallway it overlaps
+  // across its along-hallway extent, and, for every room it overlaps, the
+  // bounding box of that room's anchor points. Every anchor the window
+  // credits lies in one of these rectangles, so range pruning tests
+  // uncertain regions against the footprint rather than the bare window (a
+  // disc that misses the window can still reach a room the window clips).
+  std::vector<Rect> Footprint(const Rect& window) const;
+
  private:
   const FloorPlan* plan_;
   const AnchorPointIndex* anchors_;
+  // Per room (indexed like plan_->rooms()): bounding box of its anchor
+  // points, or nullopt for a room without anchors.
+  std::vector<std::optional<Rect>> room_anchor_bounds_;
 };
 
 }  // namespace ipqs

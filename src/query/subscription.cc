@@ -13,6 +13,17 @@ namespace ipqs {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Distance from `p` to the nearest rectangle of a range footprint: an
+// uncertain region centered at `p` is a pruning candidate iff its radius
+// reaches this (the FilterRangeCandidates test over the same rectangles).
+double FootprintDistance(const std::vector<Rect>& footprint, const Point& p) {
+  double best = kInf;
+  for (const Rect& r : footprint) {
+    best = std::min(best, r.DistanceTo(p));
+  }
+  return best;
+}
 }  // namespace
 
 SubscriptionManager::SubscriptionManager(
@@ -53,6 +64,9 @@ SubscriptionId SubscriptionManager::Add(BatchQuery query, double threshold) {
   sub.id = id;
   sub.query = std::move(query);
   sub.threshold = threshold;
+  if (sub.query.kind == BatchQuery::Kind::kRange) {
+    sub.footprint = engine_->range_eval_.Footprint(sub.query.window);
+  }
   subs_.emplace(id, std::move(sub));
   registered_->Set(static_cast<int64_t>(subs_.size()));
   needs_tick_ = true;
@@ -149,16 +163,16 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
     if (sub.query.kind == BatchQuery::Kind::kRange) {
       const UncertainRegion ur =
           ComputeUncertainRegion(deployment, j, last, now, u);
-      if (ur.Overlaps(sub.query.window)) {
+      const double gap = FootprintDistance(sub.footprint, ur.center);
+      if (gap <= ur.radius) {
         return false;  // Joined the candidate set.
       }
       // Still outside: predict when its (growing) region could reach the
-      // window and make sure a future tick re-evaluates by then.
+      // footprint and make sure a future tick re-evaluates by then.
       if (u > 0.0) {
         const Reader& r = deployment.reader(last.reader);
         const double t_touch =
-            static_cast<double>(last.time) +
-            (sub.query.window.DistanceTo(r.pos) - r.range) / u;
+            static_cast<double>(last.time) + (gap - r.range) / u;
         sub.next_expand =
             std::min(sub.next_expand, t_touch - config_.margin_seconds);
       }
@@ -277,8 +291,8 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
   const double u = cfg.max_speed;
   if (cfg.use_pruning && u > 0.0) {
     if (sub.query.kind == BatchQuery::Kind::kRange) {
-      // Readers are pinned: memoize the window distance per reader.
-      std::unordered_map<ReaderId, double> window_dist;
+      // Readers are pinned: memoize the footprint distance per reader.
+      std::unordered_map<ReaderId, double> footprint_dist;
       for (ObjectId o : collector.KnownObjects()) {
         if (std::binary_search(sub.candidates.begin(), sub.candidates.end(),
                                o)) {
@@ -289,10 +303,10 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
           continue;
         }
         const AggregatedEntry last = h->entries.back();
-        auto [it, inserted] = window_dist.try_emplace(last.reader, 0.0);
+        auto [it, inserted] = footprint_dist.try_emplace(last.reader, 0.0);
         if (inserted) {
-          it->second =
-              sub.query.window.DistanceTo(deployment.reader(last.reader).pos);
+          it->second = FootprintDistance(
+              sub.footprint, deployment.reader(last.reader).pos);
         }
         const double t_touch =
             static_cast<double>(last.time) +

@@ -81,11 +81,13 @@ struct SubscriptionStats {
 //     subscription even if the change log missed them;
 //  2. no applied reading touched a candidate, and no changed non-candidate
 //     entered the subscription's reach: for range, its grown uncertain
-//     region now overlaps the window; for kNN, its distance interval's
-//     lower bound dipped under the (uniformly growing) pruning bound f;
+//     region now overlaps the window's footprint (the rectangles range
+//     pruning tests, RangeQueryEvaluator::Footprint); for kNN, its
+//     distance interval's lower bound dipped under the (uniformly growing)
+//     pruning bound f;
 //  3. `now` is before the subscription's predicted expansion time — the
 //     earliest instant ANY non-candidate's uncertain region could reach
-//     the window / the f-bound, maintained from the crossing-time
+//     the footprint / the f-bound, maintained from the crossing-time
 //     arithmetic at evaluation and tightened as changed objects are
 //     tested (margin_seconds early, never late).
 //
@@ -149,6 +151,8 @@ class SubscriptionManager {
     SubscriptionId id = -1;
     BatchQuery query;
     double threshold = 0.5;  // kRange only.
+    // kRange only: the window's pruning footprint, fixed for its lifetime.
+    std::vector<Rect> footprint;
     // State of the last evaluation (-1 = never evaluated).
     int64_t last_eval = -1;
     BatchAnswer answer;

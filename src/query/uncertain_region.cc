@@ -1,6 +1,7 @@
 #include "query/uncertain_region.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
@@ -69,6 +70,12 @@ DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
 std::vector<ObjectId> FilterRangeCandidates(
     const DataCollector& collector, const Deployment& deployment,
     const std::vector<Rect>& windows, int64_t now, double max_speed) {
+  // Every uncertain region is a disc centered on a reader, and it overlaps
+  // some rectangle iff its radius reaches the rectangle nearest that
+  // reader. So one distance per reader (memoized on first use) decides
+  // every object detected there, exactly as testing each rectangle would.
+  std::vector<double> reach(static_cast<size_t>(deployment.num_readers()),
+                            -1.0);
   std::vector<ObjectId> candidates;
   for (ObjectId object : collector.KnownObjects()) {
     const auto last = collector.LastReading(object);
@@ -77,11 +84,15 @@ std::vector<ObjectId> FilterRangeCandidates(
     }
     const UncertainRegion ur =
         ComputeUncertainRegion(deployment, object, *last, now, max_speed);
-    for (const Rect& w : windows) {
-      if (ur.Overlaps(w)) {
-        candidates.push_back(object);
-        break;
+    double& d = reach[static_cast<size_t>(last->reader)];
+    if (d < 0.0) {
+      d = std::numeric_limits<double>::infinity();
+      for (const Rect& w : windows) {
+        d = std::min(d, w.DistanceTo(ur.center));
       }
+    }
+    if (d <= ur.radius) {
+      candidates.push_back(object);
     }
   }
   return candidates;

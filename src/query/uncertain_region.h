@@ -96,8 +96,11 @@ DistanceInterval NetworkDistanceInterval(const OneToAllDistances& from_source,
                                          const UncertainRegion& region);
 
 // Range-query candidate filter: objects whose uncertain region overlaps at
-// least one window. Objects without any reading are never candidates (they
-// have never been inside the instrumented space).
+// least one of the rectangles. The engine passes a window's footprint
+// (RangeQueryEvaluator::Footprint), not the bare window, because the range
+// evaluator credits whole rooms and hallway widths. Objects without any
+// reading are never candidates (they have never been inside the
+// instrumented space).
 std::vector<ObjectId> FilterRangeCandidates(
     const DataCollector& collector, const Deployment& deployment,
     const std::vector<Rect>& windows, int64_t now, double max_speed);

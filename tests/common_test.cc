@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -242,6 +243,144 @@ TEST(RngTest, ForStreamSeparatesCoordinates) {
   EXPECT_NE(base, first(Rng::ForStream(7, 2, 2)));
   EXPECT_NE(base, first(Rng::ForStream(7, 1, 3)));
   EXPECT_NE(base, first(Rng::ForStream(7, 2, 1)));
+}
+
+// ---------------------------------------------------------------------------
+// Rng contract: the generator and its distributions are this repository's
+// own code, so their outputs are pinned here rather than inherited from a
+// standard library.
+
+TEST(RngTest, KnownAnswersArePinned) {
+  // xoshiro256++ seeded by the SplitMix64 sequence of the seed, checked
+  // against an independent reimplementation of the published algorithms.
+  Rng zero(0);
+  EXPECT_EQ(zero(), 0x53175d61490b23dfULL);
+  EXPECT_EQ(zero(), 0x61da6f3dc380d507ULL);
+  EXPECT_EQ(zero(), 0x5c0fdf91ec9a7bfcULL);
+
+  Rng stream = Rng::ForStream(7, 12, 345);
+  EXPECT_EQ(stream(), 0xa8c93669d9d96111ULL);
+  EXPECT_EQ(stream(), 0x7c8e7c7f89f06ecaULL);
+  EXPECT_EQ(stream(), 0xd3bd75552237a42fULL);
+
+  // Uniform01 is the top 53 bits of the first raw draw, times 2^-53.
+  EXPECT_EQ(Rng(0).Uniform01(), 0.32457526803140668);
+  EXPECT_EQ(Rng(0).UniformIndex(1000), 324u);
+
+  // The polar method's one libm call is std::log, which is not required
+  // to round identically everywhere; allow a few ulps.
+  Rng gauss(0);
+  EXPECT_DOUBLE_EQ(gauss.Gaussian(0.0, 1.0), -1.5411826072230725);
+  EXPECT_DOUBLE_EQ(gauss.Gaussian(0.0, 1.0), -1.0345790242567108);
+}
+
+TEST(RngTest, StateFitsInACacheLine) {
+  EXPECT_LE(sizeof(Rng), 64u);
+}
+
+TEST(RngTest, GaussianBatchMatchesScalarCalls) {
+  for (const bool pending_spare : {false, true}) {
+    for (const size_t n : {0u, 1u, 2u, 7u}) {
+      Rng batched(77);
+      Rng scalar(77);
+      if (pending_spare) {
+        // One polar pair leaves its second variate pending.
+        EXPECT_EQ(batched.Gaussian(0.0, 1.0), scalar.Gaussian(0.0, 1.0));
+      }
+      std::vector<double> out(n);
+      batched.GaussianBatch(2.0, 0.5, n, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], scalar.Gaussian(2.0, 0.5))
+            << "n=" << n << " i=" << i << " spare=" << pending_spare;
+      }
+      // Same state afterwards: pending spare and raw engine alike.
+      EXPECT_EQ(batched.Gaussian(0.0, 1.0), scalar.Gaussian(0.0, 1.0));
+      EXPECT_EQ(batched(), scalar());
+    }
+  }
+}
+
+TEST(RngTest, Uniform01BatchMatchesScalarCalls) {
+  for (const bool pending_spare : {false, true}) {
+    for (const size_t n : {0u, 1u, 2u, 7u}) {
+      Rng batched(78);
+      Rng scalar(78);
+      if (pending_spare) {
+        EXPECT_EQ(batched.Gaussian(0.0, 1.0), scalar.Gaussian(0.0, 1.0));
+      }
+      std::vector<double> out(n);
+      batched.Uniform01Batch(n, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], scalar.Uniform01()) << "n=" << n << " i=" << i;
+      }
+      // Uniform draws leave a pending Gaussian spare alone.
+      EXPECT_EQ(batched.Gaussian(0.0, 1.0), scalar.Gaussian(0.0, 1.0));
+      EXPECT_EQ(batched(), scalar());
+    }
+  }
+}
+
+// Pearson chi-square statistic of observed counts against equal expected
+// counts.
+double ChiSquareUniform(const std::vector<int>& observed, int draws) {
+  const double expected =
+      static_cast<double>(draws) / static_cast<double>(observed.size());
+  double stat = 0.0;
+  for (const int o : observed) {
+    const double d = o - expected;
+    stat += d * d / expected;
+  }
+  return stat;
+}
+
+TEST(RngTest, UniformIndexPassesChiSquare) {
+  // 10^5 draws per bound, thresholded at the 99.9th percentile of
+  // chi-square(n - 1): 13.82 (df 2), 22.46 (df 6), 1142.9 (df 999,
+  // Wilson-Hilferty).
+  const int draws = 100000;
+  const std::vector<std::pair<size_t, double>> cases = {
+      {3, 13.82}, {7, 22.46}, {1000, 1142.9}};
+  Rng rng(2024);
+  for (const auto& [n, threshold] : cases) {
+    std::vector<int> counts(n, 0);
+    for (int i = 0; i < draws; ++i) {
+      ++counts[rng.UniformIndex(n)];
+    }
+    EXPECT_LT(ChiSquareUniform(counts, draws), threshold) << "n=" << n;
+  }
+}
+
+TEST(RngTest, GaussianPassesChiSquare) {
+  // Sixteen equiprobable N(0, 1) bins: the normal CDF of each draw is
+  // uniform on (0, 1) when the draws are standard normal. 10^5 draws;
+  // the 99.9th percentile of chi-square(15) is 37.70.
+  const int draws = 100000;
+  const size_t bins = 16;
+  std::vector<int> counts(bins, 0);
+  Rng rng(2025);
+  for (int i = 0; i < draws; ++i) {
+    const double z = rng.Gaussian(0.0, 1.0);
+    const double u = 0.5 * (1.0 + std::erf(z / std::sqrt(2.0)));
+    ++counts[std::min(bins - 1, static_cast<size_t>(u * bins))];
+  }
+  EXPECT_LT(ChiSquareUniform(counts, draws), 37.70);
+}
+
+TEST(RngTest, UniformIntHandlesExtremeRanges) {
+  Rng rng(5);
+  // The full int range spans 2^32 values: no overflow on the way.
+  bool negative = false;
+  bool positive = false;
+  for (int i = 0; i < 64; ++i) {
+    const int v = rng.UniformInt(INT_MIN, INT_MAX);
+    negative |= v < 0;
+    positive |= v > 0;
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
+  EXPECT_EQ(rng.UniformInt(INT_MIN, INT_MIN), INT_MIN);
+  EXPECT_EQ(rng.UniformInt(INT_MAX, INT_MAX), INT_MAX);
+  EXPECT_EQ(rng.UniformInt(-3, -3), -3);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

@@ -656,6 +656,21 @@ TEST(HealthAcceptance, CleanRunHasZeroFalseTransitions) {
   EXPECT_FALSE(sim->health_monitor()->view().AnyDegraded());
 }
 
+// The same over many worlds: no clean run may trip either detector. A
+// reader that saw no tags during warmup used to read two lingering objects
+// as a ghost flood, in about one clean world in four.
+TEST(HealthAcceptance, CleanRunsAcrossWorldsHaveZeroFalseTransitions) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SimulationConfig config;
+    config.trace.num_objects = 60;
+    config.seed = seed;
+    config.health.enabled = true;
+    auto sim = Simulation::Create(config).value();
+    sim->Run(400);
+    EXPECT_EQ(sim->health_stats().Total(), 0) << "seed " << seed;
+  }
+}
+
 // Under 20% reader dropout, every silence detection of an injected outage
 // lands within twice the reader's effective suspect window of the epoch's
 // onset (FaultPlan::ReaderDownAt is the ground truth).

@@ -69,10 +69,10 @@ TEST(PaperClaims, MoreParticlesDoNotHurtAccuracy) {
 // Golden end-to-end scenario: a small pinned world where the exact query
 // answers are frozen. Any change to the reading pipeline, the filter's
 // consumption order, or the RNG layering shows up here as a diff, not as a
-// silent accuracy drift. The probabilities are a function of the pinned
-// toolchain (std::mt19937_64 is portable, but std::normal_distribution /
-// std::uniform_* draw orders are libstdc++'s); regenerate by running this
-// test with IPQS_PRINT_GOLDEN=1 in the environment and pasting the output.
+// silent accuracy drift. The probabilities are a function of the
+// repository's own generator and distributions (common/rng.h), not of the
+// standard library; regenerate by running this test with
+// IPQS_PRINT_GOLDEN=1 in the environment and pasting the output.
 TEST(GoldenScenario, SmallWorldAnswersAreFrozen) {
   SimulationConfig config;
   config.office.num_wings = 1;
@@ -115,10 +115,9 @@ TEST(GoldenScenario, SmallWorldAnswersAreFrozen) {
   EXPECT_EQ(known.size(), 8u);
 
   const std::vector<std::pair<ObjectId, double>> golden_range = {
-      {1, 0.62553710937500007}, {3, 0.80703124999999998},
-      {4, 0.55937499999999996}, {2, 1.0},
-      {5, 1.0},                 {0, 0.25029296875000001},
-      {7, 0.95783691406250004},
+      {0, 0.48708496093749992}, {7, 0.86201171874999993},
+      {1, 0.93867187500000004}, {4, 1.0},
+      {3, 0.484375},
   };
   ASSERT_EQ(range.objects.size(), golden_range.size());
   for (size_t i = 0; i < golden_range.size(); ++i) {
@@ -127,8 +126,8 @@ TEST(GoldenScenario, SmallWorldAnswersAreFrozen) {
   }
 
   const std::vector<std::pair<ObjectId, double>> golden_knn = {
-      {0, 0.421875}, {4, 0.28125},  {7, 0.875},    {2, 0.53125},
-      {5, 0.921875}, {6, 0.21875},  {1, 0.171875}, {3, 0.015625},
+      {0, 0.25}, {3, 1.0},      {1, 0.734375},
+      {6, 1.0},  {7, 0.03125},  {4, 0.703125},
   };
   ASSERT_EQ(knn.result.objects.size(), golden_knn.size());
   for (size_t i = 0; i < golden_knn.size(); ++i) {
@@ -137,8 +136,8 @@ TEST(GoldenScenario, SmallWorldAnswersAreFrozen) {
     EXPECT_EQ(knn.result.objects[i].second, golden_knn[i].second)
         << "rank " << i;
   }
-  EXPECT_EQ(knn.total_probability, 3.4375);
-  EXPECT_EQ(knn.anchors_searched, 26);
+  EXPECT_EQ(knn.total_probability, 3.71875);
+  EXPECT_EQ(knn.anchors_searched, 17);
 }
 
 TEST(PruningSoundness, TrueRangeObjectsAlwaysSurvivePruning) {
@@ -165,6 +164,49 @@ TEST(PruningSoundness, TrueRangeObjectsAlwaysSurvivePruning) {
           << "true object " << id << " pruned at t=" << sim->now();
     }
   }
+}
+
+TEST(PruningSoundness, PrunedRangeAnswersMatchUnprunedAcrossWorlds) {
+  // Pruning may only drop objects that score nothing in the window. The
+  // range evaluator credits a room's whole mass (scaled by the overlap) and
+  // a hallway's full width, so an uncertain region that misses the window
+  // can still reach a room the window clips; pruning against the bare
+  // window dropped such objects in about half of these windows. Several
+  // worlds and a window at every reader, so the check does not rest on one
+  // realization of the random streams.
+  int windows = 0;
+  for (const uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    SimulationConfig config;
+    config.trace.num_objects = 60;
+    config.seed = seed;
+    auto sim = Simulation::Create(config).value();
+    sim->Run(300);
+    const int64_t now = sim->now();
+    const auto make_engine = [&](bool use_pruning) {
+      EngineConfig engine;
+      engine.num_threads = 1;
+      engine.use_cache = false;
+      engine.use_pruning = use_pruning;
+      engine.seed = 99;
+      return QueryEngine(&sim->graph(), &sim->plan(), &sim->anchors(),
+                         &sim->anchor_graph(), &sim->deployment(),
+                         &sim->deployment_graph(), &sim->collector(), engine);
+    };
+    for (const Reader& reader : sim->deployment().readers()) {
+      const Rect window = Rect::FromCenter(reader.pos, 14, 14);
+      QueryEngine pruned = make_engine(true);
+      QueryEngine unpruned = make_engine(false);
+      const QueryResult with = pruned.EvaluateRange(window, now);
+      const QueryResult without = unpruned.EvaluateRange(window, now);
+      ++windows;
+      for (const auto& [object, p] : without.objects) {
+        EXPECT_EQ(with.ProbabilityOf(object), p)
+            << "seed " << seed << " reader " << reader.id << " object "
+            << object;
+      }
+    }
+  }
+  EXPECT_GT(windows, 100);
 }
 
 TEST(PruningEffectiveness, PruningShrinksCandidateSets) {

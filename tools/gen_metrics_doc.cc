@@ -86,7 +86,10 @@ const std::vector<std::pair<std::string, std::string>>& Descriptions() {
       {"<engine>.filter.predict_ns", "Motion-model predict step wall time."},
       {"<engine>.filter.weight_ns",
        "Measurement weighting step wall time."},
-      {"<engine>.filter.resample_ns", "Resampling step wall time."},
+      {"<engine>.filter.resample_ns",
+       "Resampling step wall time: normalize, ESS, resample and roughen."},
+      {"<engine>.filter.roughen_ns",
+       "Post-resample roughening wall time alone (nested in resample_ns)."},
       {"<engine>.filter.snap_ns",
        "Snapping particle positions to anchor points."},
       {"<engine>.filter.particles",
