@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <thread>
 
 namespace ipqs {
 namespace bench {
@@ -53,6 +55,20 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+// The first "model name" line of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const size_t start = line.find_first_not_of(" \t", colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
 void AppendJsonDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -75,6 +91,13 @@ void FlushSection() {
   AppendJsonString(&json, g_section.xlabel);
   json += ",\n  \"fast_mode\": ";
   json += FastMode() ? "true" : "false";
+  json += ",\n  \"build_type\": ";
+  AppendJsonString(&json, IPQS_BUILD_TYPE);
+  json += ",\n  \"host\": {\"cpus\": ";
+  json += std::to_string(std::thread::hardware_concurrency());
+  json += ", \"cpu_model\": ";
+  AppendJsonString(&json, CpuModel());
+  json += "}";
   json += ",\n  \"columns\": [";
   for (size_t i = 0; i < g_section.columns.size(); ++i) {
     if (i > 0) json += ", ";

@@ -35,8 +35,9 @@ struct SweepRow {
 // trio additionally records the section into BENCH_<figure>.json there
 // (one file per PrintHeader..PrintShapeNote section, rows with their
 // printed values plus the wall-clock milliseconds the MustRun calls since
-// the previous row took). Machine-readable twin of the stdout tables for
-// CI artifacts and regression tracking.
+// the previous row took), with the build type and the host (CPU count and
+// model) they were measured on. Machine-readable twin of the stdout tables
+// for CI artifacts and regression tracking.
 void PrintHeader(const std::string& figure, const std::string& title,
                  const std::string& xlabel,
                  const std::vector<std::string>& columns);

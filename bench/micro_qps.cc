@@ -1,21 +1,21 @@
 // Query-serving throughput vs. concurrent-query count: the same stream of
 // range/kNN queries served one engine call at a time (the original serving
-// path: no distance index, a fresh pruning Dijkstra per kNN query) versus
-// batched through the QueryScheduler at growing batch sizes (shared
-// DistanceIndex tables, duplicate-query dedup, one inference pass over the
-// union of candidates per batch).
+// path: a fresh pruning Dijkstra per kNN query) versus batched through the
+// QueryScheduler at growing batch sizes (per-reader distance tables,
+// duplicate-query dedup, one inference pass over the union of candidates
+// per batch).
 //
 // The workload models a serving frontend: at every timestamp a wave of
 // concurrent queries arrives, drawn from a hot panel of query points and
 // windows (dashboards and pinned views repeat the same queries), so a
 // batch contains duplicates and near-misses — exactly what the scheduler's
-// dedup and the shared distance tables exploit. Answers are verified
+// dedup and the precomputed distance tables exploit. Answers are verified
 // byte-identical across every batch size (and against the serial
 // baseline); batching changes throughput, never answers.
 //
 // Single-core note: the speedup here comes from doing LESS work (dedup,
-// cached Dijkstras, shared evaluation tables), not from parallelism, so it
-// holds on any machine. IPQS_FAST=1 shrinks the protocol.
+// precomputed distances, shared evaluation tables), not from parallelism,
+// so it holds on any machine. IPQS_FAST=1 shrinks the protocol.
 
 #include <chrono>
 #include <cstdio>
@@ -62,25 +62,6 @@ bool SameAnswers(const Answers& a, const Answers& b) {
   return true;
 }
 
-// A hot panel of kNN query points whose graph snap lands exactly on an
-// anchor point (slack 0), so index-backed pruning is bit-identical to the
-// exact per-query Dijkstra and the whole table verifies byte-for-byte.
-std::vector<Point> SlackFreePanel(Simulation& sim, int want) {
-  std::vector<Point> panel;
-  for (int attempts = 0; static_cast<int>(panel.size()) < want; ++attempts) {
-    IPQS_CHECK_LT(attempts, 10000);
-    const Point p =
-        Experiment::RandomIndoorPoint(sim.anchors(), sim.query_rng());
-    const GraphLocation loc =
-        sim.graph().NearestLocation(p, /*prefer_hallways=*/true);
-    const AnchorPoint& a = sim.anchors().anchor(sim.anchors().NearestOnEdge(loc));
-    if (a.edge == loc.edge && a.offset == loc.offset) {
-      panel.push_back(p);
-    }
-  }
-  return panel;
-}
-
 int RunQps() {
   const bool fast = bench::FastMode();
   const int num_timestamps = fast ? 3 : 8;
@@ -93,7 +74,7 @@ int RunQps() {
 
   bench::PrintHeader(
       "micro_qps", "query-serving throughput vs. concurrent-query batch size",
-      "batch", {"serve_ms", "qps", "speedup", "dedup", "dindex_hit"});
+      "batch", {"serve_ms", "qps", "speedup", "dedup"});
 
   double baseline_ms = 0.0;
   Answers baseline;
@@ -115,14 +96,19 @@ int RunQps() {
       config.sampler = &sampler;
     }
     // batch 1 is the original serving path: one engine call per query and
-    // an exact pruning Dijkstra per kNN query.
+    // an exact pruning Dijkstra per kNN query (the reference distances the
+    // per-reader tables must reproduce).
     config.use_distance_index = batch_size > 1;
     auto sim_or = Simulation::Create(config);
     IPQS_CHECK(sim_or.ok());
     std::unique_ptr<Simulation> sim = std::move(*sim_or);
     sim->Run(warmup_seconds);
 
-    const std::vector<Point> knn_panel = SlackFreePanel(*sim, panel_knn);
+    std::vector<Point> knn_panel;
+    for (int i = 0; i < panel_knn; ++i) {
+      knn_panel.push_back(
+          Experiment::RandomIndoorPoint(sim->anchors(), sim->query_rng()));
+    }
     std::vector<Rect> range_panel;
     for (int i = 0; i < panel_range; ++i) {
       range_panel.push_back(
@@ -154,7 +140,7 @@ int RunQps() {
       // continuously as readings stream in, and that catch-up cost is paid
       // identically by every serving strategy. The timed region below is
       // pure query serving: pruning, evaluation, and (serial only) the
-      // per-kNN-query distance Dijkstra that the index amortizes away.
+      // per-kNN-query distance Dijkstra that the reader tables replace.
       sim->pf_engine().EvaluateRange(sim->plan().BoundingBox(), now);
       const std::vector<BatchQuery>& wave = stream[ts];
       const auto start = std::chrono::steady_clock::now();
@@ -202,8 +188,6 @@ int RunQps() {
       identical = SameAnswers(answers, baseline);
     }
     const double qps = static_cast<double>(served) / (serve_ms / 1000.0);
-    const DistanceIndex::Stats dstats =
-        sim->pf_engine().distance_index_stats();
     // Fraction of the wave collapsed by dedup (0 on the serial row, where
     // the scheduler never ran).
     const int64_t sched_queries =
@@ -217,7 +201,7 @@ int RunQps() {
     bench::PrintRow(batch_size,
                     {serve_ms, qps,
                      baseline_ms == 0.0 ? 1.0 : baseline_ms / serve_ms,
-                     dedup, dstats.HitRate()});
+                     dedup});
     if (!identical) {
       std::fprintf(stderr,
                    "FATAL: batch=%d answers diverged from the serial "
@@ -241,7 +225,7 @@ int RunQps() {
 
   bench::PrintShapeNote(
       "QPS grows with batch size: duplicate queries collapse to one "
-      "evaluation, kNN pruning reads cached distance tables, and each "
+      "evaluation, kNN pruning reads precomputed distance tables, and each "
       "batch runs one inference pass. Expect >= 2x at batch 16 vs. the "
       "serial baseline; answers stay byte-identical throughout.");
   return 0;

@@ -9,8 +9,7 @@
 namespace ipqs {
 
 // Parameters for GenerateGraph. The defaults produce one connected
-// ~100-edge component; benchmarks scale `nodes_per_component` into the
-// tens of thousands and tests use `num_components > 1` to build worlds
+// ~100-edge component; tests use `num_components > 1` to build worlds
 // where some location pairs are provably unreachable.
 struct GeneratedGraphConfig {
   int nodes_per_component = 64;
@@ -27,7 +26,7 @@ struct GeneratedGraphConfig {
 // onto a grid, connected by a random spanning tree plus chord edges.
 // Components are laid out in disjoint squares so every edge has positive
 // length. Unlike BuildWalkingGraph this needs no floor plan, so it scales
-// to arbitrary sizes for oracle benchmarks and can be deliberately
+// to arbitrary sizes for distance fuzzing and can be deliberately
 // disconnected; the result therefore must NOT be passed to Validate()
 // (which requires connectivity) when num_components > 1.
 WalkingGraph GenerateGraph(const GeneratedGraphConfig& config);

@@ -180,30 +180,6 @@ double NetworkDistance(const WalkingGraph& graph, const GraphLocation& from,
   return best;
 }
 
-GraphLocation CanonicalSourceLocation(const WalkingGraph& graph,
-                                      const GraphLocation& source) {
-  GraphLocation loc = source;
-  const Edge& e = graph.edge(loc.edge);
-  loc.offset = std::clamp(loc.offset, 0.0, e.length);
-  // A location exactly on a node is reachable through every incident edge;
-  // rewrite it to the lowest incident edge id so all spellings agree.
-  NodeId node = kInvalidId;
-  if (loc.offset == 0.0) {
-    node = e.a;
-  } else if (loc.offset == e.length) {
-    node = e.b;
-  }
-  if (node != kInvalidId) {
-    EdgeId lowest = loc.edge;
-    for (EdgeId eid : graph.node(node).edges) {
-      lowest = std::min(lowest, eid);
-    }
-    loc.edge = lowest;
-    loc.offset = graph.OffsetOfNode(lowest, node);
-  }
-  return loc;
-}
-
 StatusOr<Path> FindShortestPath(const WalkingGraph& graph,
                                 const GraphLocation& from,
                                 const GraphLocation& to) {

@@ -54,7 +54,8 @@ class Path {
 
 // Shortest network distances from one fixed source location to every node,
 // computed once (Dijkstra) and then queried many times. This is the
-// workhorse behind kNN pruning (Eq. 6 of the paper) and ground-truth kNN.
+// workhorse behind kNN pruning (Eq. 6 of the paper: the query engine keeps
+// one table per reader) and ground-truth kNN.
 class OneToAllDistances {
  public:
   OneToAllDistances(const WalkingGraph& graph, const GraphLocation& source);
@@ -80,16 +81,6 @@ class OneToAllDistances {
 // OneToAllDistances(graph, from).ToLocation(to) bit for bit.
 double NetworkDistance(const WalkingGraph& graph, const GraphLocation& from,
                        const GraphLocation& to);
-
-// Canonical spelling of a source location: the offset is clamped to
-// [0, edge length], and a location sitting exactly on a node is rewritten
-// to (lowest-id incident edge, endpoint offset) so the same physical point
-// reached through different edges compares equal. Both the DistanceIndex
-// (cache keys) and the DistanceOracle (pinned-matrix sources) canonicalize
-// through this one function, which is what keeps their distance values
-// bit-identical for the same physical source.
-GraphLocation CanonicalSourceLocation(const WalkingGraph& graph,
-                                      const GraphLocation& source);
 
 // Shortest path between two locations. Returns a leg-less path anchored at
 // `from` when from == to. Fails only if the graph is disconnected between

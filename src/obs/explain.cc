@@ -46,9 +46,6 @@ void QueryExplain::WriteJson(std::ostream& os, bool include_timings) const {
      << ", \"est_full_cost\": " << FormatDouble(est_full_cost)
      << ", \"est_stale_cost\": " << FormatDouble(est_stale_cost)
      << ", \"est_reduced_cost\": " << FormatDouble(est_reduced_cost) << "}";
-  os << ", \"distance_index\": {\"hits\": " << dindex_hits
-     << ", \"misses\": " << dindex_misses
-     << ", \"slack\": " << FormatDouble(dindex_slack) << "}";
   os << ", \"work\": {\"filter_runs\": " << filter_runs
      << ", \"filter_resumes\": " << filter_resumes
      << ", \"filter_seconds\": " << filter_seconds

@@ -53,12 +53,6 @@ struct QueryExplain {
   double est_stale_cost = -1.0;
   double est_reduced_cost = -1.0;
 
-  // ---- Distance-index provenance (kNN pruning) ------------------------
-  int64_t dindex_hits = 0;    // Shared-table lookups served from the LRU.
-  int64_t dindex_misses = 0;  // Lookups that ran a fresh Dijkstra.
-  double dindex_slack = -1.0; // Query-to-anchor slack widening the pruning
-                              // intervals; -1 = index not consulted.
-
   // ---- Work charged by this query -------------------------------------
   int64_t filter_runs = 0;     // Full from-scratch filter executions.
   int64_t filter_resumes = 0;  // Cache-hit resumptions.

@@ -61,32 +61,14 @@ QueryEngine::QueryEngine(const WalkingGraph* graph, const FloorPlan* plan,
     degraded_filter_->SetSilenceTrust(&silence_trust_);
   }
   if (config.use_distance_index) {
-    dindex_ = std::make_unique<DistanceIndex>(graph,
-                                              config.distance_index_capacity);
-  }
-  if (config.use_distance_oracle) {
-    DistanceOracleConfig oracle_config;
-    oracle_config.num_landmarks = std::max(config.oracle_landmarks, 1);
-    oracle_ = std::make_unique<DistanceOracle>(graph, oracle_config);
+    // Every uncertain region is centred on a reader, so these R tables
+    // answer every distance kNN pruning will ever read.
+    reader_tables_.reserve(deployment->num_readers());
+    for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
+      reader_tables_.emplace_back(*graph, deployment->reader(r).loc);
+    }
   }
   InitObservability();
-  if (dindex_ != nullptr) {
-    // Every uncertain-region interval measures to a reader position, so
-    // those tables are the hottest by far: precompute and pin them now.
-    for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
-      dindex_->Pin(deployment->reader(r).loc);
-    }
-  }
-  if (oracle_ != nullptr) {
-    // Readers are pinned and static for the life of a deployment, so the
-    // anchor-to-reader matrix is computed once here and never invalidated.
-    std::vector<GraphLocation> reader_locs;
-    reader_locs.reserve(deployment->num_readers());
-    for (ReaderId r = 0; r < deployment->num_readers(); ++r) {
-      reader_locs.push_back(deployment->reader(r).loc);
-    }
-    oracle_->BuildPinnedMatrix(*anchors_, reader_locs);
-  }
 }
 
 void QueryEngine::InitObservability() {
@@ -137,28 +119,6 @@ void QueryEngine::InitObservability() {
   filter_metrics.particles = metrics_->GetGauge(p + ".filter.particles");
   filter_metrics.reseeds = metrics_->GetCounter(p + ".filter.reseed_total");
   filter_.SetMetrics(filter_metrics);
-
-  if (dindex_ != nullptr) {
-    DistanceIndexMetrics dindex_metrics;
-    dindex_metrics.hits = metrics_->GetCounter(p + ".dindex.hits");
-    dindex_metrics.misses = metrics_->GetCounter(p + ".dindex.misses");
-    dindex_metrics.evictions = metrics_->GetCounter(p + ".dindex.evictions");
-    dindex_metrics.race_drops = metrics_->GetCounter(p + ".dindex.race_drops");
-    dindex_->SetMetrics(dindex_metrics);
-  }
-
-  if (oracle_ != nullptr) {
-    DistanceOracleMetrics oracle_metrics;
-    oracle_metrics.matrix_lookups =
-        metrics_->GetCounter(p + ".oracle.matrix_lookups");
-    oracle_metrics.matrix_fallbacks =
-        metrics_->GetCounter(p + ".oracle.matrix_fallbacks");
-    oracle_metrics.p2p_queries =
-        metrics_->GetCounter(p + ".oracle.p2p_queries");
-    oracle_metrics.bound_queries =
-        metrics_->GetCounter(p + ".oracle.bound_queries");
-    oracle_->SetMetrics(oracle_metrics);
-  }
 
   CacheMetrics cache_metrics;
   cache_metrics.hits = metrics_->GetCounter(p + ".cache.hits");
@@ -404,7 +364,7 @@ QueryEngine::ServeCounts QueryEngine::Serve(
   struct Distinct {
     size_t first = 0;  // Batch index of the representative slot.
     GraphLocation q;   // kKnn: snapped query location.
-    // kKnn: per-reader distance bounds, once pruning or the prune-only
+    // kKnn: query-to-reader distances, once pruning or the prune-only
     // fallback has read them.
     std::optional<SourceDistances> qd;
     std::vector<ObjectId> restrict;  // Canonical candidate set.
@@ -554,11 +514,6 @@ QueryEngine::ServeCounts QueryEngine::Serve(
       e.infer_ns = t_inferred - t_pruned;
       e.evaluate_ns = t_end - t_inferred;
       e.total_ns = t_end - t_start;
-      // Report the slack of whatever distance bounds were read, including
-      // the prune-only fallback's when pruning was off.
-      if (d.qd.has_value()) {
-        e.dindex_slack = d.qd->slack;
-      }
       e.quality = std::string(ToString(served.quality));
       e.coverage_degraded = served.coverage_degraded;
       e.budget_reason = decision.reason;
@@ -593,45 +548,16 @@ QueryEngine::ServeCounts QueryEngine::Serve(
 }
 
 SourceDistances QueryEngine::DistancesFor(const GraphLocation& query) {
-  if (oracle_ != nullptr) {
-    const AnchorId aid = anchors_->NearestOnEdge(query);
-    const AnchorPoint& a = anchors_->anchor(aid);
-    SourceDistances out;
-    // The along-edge offset gap is a network path between query and source,
-    // so it upper-bounds their network distance — the slack pruning needs.
-    out.slack = std::fabs(query.offset - a.offset);
-    const int num_readers = deployment_->num_readers();
-    out.to_reader.reserve(num_readers);
-    if (const double* row = oracle_->PinnedRow(aid)) {
-      // Matrix rows hold the same doubles a DistanceIndex table lookup
-      // would produce, so lower == upper keeps pruning byte-identical to
-      // the index path.
-      for (int r = 0; r < num_readers; ++r) {
-        out.to_reader.push_back(SourceDistances::Bound{row[r], row[r]});
-      }
-      return out;
-    }
-    // No matrix (e.g. a deployment with zero readers built no rows):
-    // landmark bounds still make pruning sound, just looser.
-    const GraphLocation source{a.edge, a.offset};
-    for (ReaderId r = 0; r < num_readers; ++r) {
-      const DistanceOracle::Bound b =
-          oracle_->Bounds(source, deployment_->reader(r).loc);
-      out.to_reader.push_back(SourceDistances::Bound{b.lower, b.upper});
-    }
-    return out;
-  }
-  if (dindex_ != nullptr) {
-    const AnchorPoint& a = anchors_->anchor(anchors_->NearestOnEdge(query));
-    GraphLocation source;
-    source.edge = a.edge;
-    source.offset = a.offset;
-    return SourceDistances::FromTable(*dindex_->Lookup(source),
-                                      std::fabs(query.offset - a.offset),
+  if (!config_.use_distance_index) {
+    return SourceDistances::FromTable(OneToAllDistances(*graph_, query),
                                       *deployment_);
   }
-  return SourceDistances::FromTable(OneToAllDistances(*graph_, query),
-                                    /*source_slack=*/0.0, *deployment_);
+  SourceDistances out;
+  out.to_reader.reserve(reader_tables_.size());
+  for (const OneToAllDistances& table : reader_tables_) {
+    out.to_reader.push_back(table.ToLocation(query));
+  }
+  return out;
 }
 
 QueryEngine::InferPlan QueryEngine::PlanInference(
@@ -791,9 +717,6 @@ QueryEngine::ExplainBaseline QueryEngine::CaptureBaseline() const {
   b.filter_resumes = counters_.filter_resumes->Value();
   b.filter_seconds = counters_.filter_seconds->Value();
   b.stale_served = degrade_counters_.stale_served_objects->Value();
-  const DistanceIndex::Stats dstats = distance_index_stats();
-  b.dindex_hits = dstats.hits;
-  b.dindex_misses = dstats.misses;
   return b;
 }
 
@@ -806,9 +729,6 @@ void QueryEngine::ChargeDeltas(const ExplainBaseline& before,
       counters_.filter_seconds->Value() - before.filter_seconds;
   explain->stale_served_objects =
       degrade_counters_.stale_served_objects->Value() - before.stale_served;
-  const DistanceIndex::Stats dstats = distance_index_stats();
-  explain->dindex_hits = dstats.hits - before.dindex_hits;
-  explain->dindex_misses = dstats.misses - before.dindex_misses;
 }
 
 void QueryEngine::ExecuteDegradedPlan(const InferPlan& plan, int64_t now,

@@ -14,8 +14,7 @@
 #include "filter/particle_filter.h"
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "graph/distance_index.h"
-#include "graph/distance_oracle.h"
+#include "graph/shortest_path.h"
 #include "health/reader_health.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
@@ -70,26 +69,16 @@ struct EngineConfig {
   double max_speed = 1.5;
   bool use_pruning = true;  // Query aware optimization module on/off.
   bool use_cache = true;    // Cache management module on/off (PF only).
-  // Distance index (query serving layer): kNN pruning reads a shared,
-  // LRU-cached one-to-all table sourced at the anchor point the query
-  // location canonicalizes to (reader positions are pinned eagerly),
-  // instead of running a fresh Dijkstra per query. Pruning intervals are
-  // widened by the query-to-anchor slack, so candidate sets are a sound
-  // superset of the exact ones (usually identical: panel query points sit
-  // on anchors, making the slack 0). Off = the exact per-query Dijkstra.
+  // Distance layer for kNN pruning, which only ever reads the network
+  // distance from the query to each reader. On: one one-to-all table per
+  // reader, built at construction, answers every query as R lookups at the
+  // query location — exact, no per-query Dijkstra. Off: one exact Dijkstra
+  // from the query point per kNN query, the reference path that
+  // tests/distance_test.cc and bench/micro_qps's serial row compare
+  // against. The two sum the same shortest paths in opposite directions,
+  // so they can differ only by rounding; candidates and answers are held
+  // identical across them.
   bool use_distance_index = true;
-  size_t distance_index_capacity = 256;  // Unpinned LRU entries.
-  // Distance oracle (preprocessing mode, src/graph/distance_oracle.h):
-  // ALT landmark tables plus a dense anchor-to-reader matrix built at
-  // construction, so kNN pruning bounds become pure array lookups with no
-  // per-query Dijkstra and no LRU to thrash. Takes precedence over the
-  // distance index when both are enabled. Matrix rows are computed through
-  // the same canonicalized one-to-all evaluation the index caches, so
-  // answers are byte-identical across all three modes (exact / index /
-  // oracle). Worth the preprocessing cost on large graphs; see
-  // bench/micro_oracle for the crossover.
-  bool use_distance_oracle = false;
-  int oracle_landmarks = 16;
   uint64_t seed = 7;
   // Fan-out width for batch inference (EvaluateRange / EvaluateKnn /
   // InferBatch): per-object filter runs are spread over this many worker
@@ -155,9 +144,9 @@ struct BatchAnswer {
 // Per-slot serving internals surfaced to callers that maintain incremental
 // state on top of the batch (the SubscriptionManager): the canonical
 // candidate set the slot's answer was restricted to, and — for kNN — the
-// snapped query location plus the per-reader distance bounds and slack
-// that pruning (or the prune-only fallback) read. `dists` is empty for
-// range queries and whenever no distance bounds were read.
+// snapped query location plus the per-reader distances that pruning (or
+// the prune-only fallback) read. `dists` is empty for range queries and
+// whenever no distances were read.
 struct BatchSlotDetail {
   std::vector<ObjectId> candidates;
   GraphLocation snapped;
@@ -285,14 +274,6 @@ class QueryEngine {
   EngineStats stats() const;
   DegradeStats degrade_stats() const;
   ParticleCache::Stats cache_stats() const { return cache_.stats(); }
-  // Zero stats when the distance index is disabled.
-  DistanceIndex::Stats distance_index_stats() const {
-    return dindex_ == nullptr ? DistanceIndex::Stats{} : dindex_->stats();
-  }
-  // Zero stats when the distance oracle is disabled.
-  DistanceOracle::Stats distance_oracle_stats() const {
-    return oracle_ == nullptr ? DistanceOracle::Stats{} : oracle_->stats();
-  }
   void ResetStats();
 
   // Particle-cache contents, for the persistence layer (src/persist/).
@@ -418,8 +399,6 @@ class QueryEngine {
     int64_t filter_resumes = 0;
     int64_t filter_seconds = 0;
     int64_t stale_served = 0;
-    int64_t dindex_hits = 0;
-    int64_t dindex_misses = 0;
   };
   ExplainBaseline CaptureBaseline() const;
   void ChargeDeltas(const ExplainBaseline& before,
@@ -440,15 +419,10 @@ class QueryEngine {
                          const SourceDistances& dists, int k,
                          int64_t now) const;
 
-  // The per-reader distance bounds a kNN query's pruning reads (see
-  // SourceDistances in query/uncertain_region.h), with the slack bounding
-  // the network distance between the bounds' source and the query point.
-  // Oracle on: one pinned-matrix row (exact, no Dijkstra at all). Index
-  // on: the shared table sourced at the anchor the query's edge
-  // canonicalizes to (slack = along-edge offset gap). Neither (or no
-  // same-edge anchor): an exact private Dijkstra at the query, slack 0.
-  // All three fill identical doubles for covered queries, which is what
-  // keeps answers byte-identical across modes.
+  // The query-to-reader distances a kNN query's pruning reads (see
+  // SourceDistances in query/uncertain_region.h): reader_tables_ lookups
+  // at the query location when config.use_distance_index is on, else one
+  // exact Dijkstra from the query.
   SourceDistances DistancesFor(const GraphLocation& query);
 
   const WalkingGraph* graph_;
@@ -468,15 +442,10 @@ class QueryEngine {
   ParticleCache cache_;
   RangeQueryEvaluator range_eval_;
   KnnQueryEvaluator knn_eval_;
-  // Shared distance tables for kNN pruning (null when
-  // config.use_distance_index is false). Reader locations are pinned at
-  // construction; anchor entries populate on demand.
-  std::unique_ptr<DistanceIndex> dindex_;
-  // Preprocessed distance oracle (null when config.use_distance_oracle is
-  // false): landmark tables plus the anchor-to-reader matrix, both built
-  // once at construction. When present it takes precedence over dindex_
-  // in DistancesFor.
-  std::unique_ptr<DistanceOracle> oracle_;
+  // One one-to-all table per reader, sourced at its position and indexed
+  // by ReaderId; empty when config.use_distance_index is off. Immutable
+  // after construction (readers never move).
+  std::vector<OneToAllDistances> reader_tables_;
 
   AnchorObjectTable table_;
   int64_t table_time_ = -1;

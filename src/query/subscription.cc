@@ -179,19 +179,16 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
     } else {
       if (!std::isfinite(sub.f) || sub.dists.empty()) {
         // Pruning was degenerate at the last evaluation (entries <= k, or
-        // no distance bounds): there is no f-bound to test against.
+        // no distances read): there is no f-bound to test against.
         return false;
       }
       const Reader& r = deployment.reader(last.reader);
-      // Lower bound keeps s_now conservative (an interval backend may
-      // under-estimate the true distance, never over-estimate s). An
-      // unreachable reader reads {inf, inf}: s_now stays inf, which never
+      // An unreachable reader reads +inf: s_now stays inf, which never
       // dips under a finite f_now — correct, the object can never arrive.
-      const SourceDistances::Bound& b = sub.dists.to_reader[last.reader];
+      const double d = sub.dists.to_reader[last.reader];
       const double radius =
           u * static_cast<double>(now - last.time) + r.range;
-      const double s_now =
-          std::max(0.0, b.lower - (radius + sub.dists.slack));
+      const double s_now = std::max(0.0, d - radius);
       // While the subscription is clean, the exact pruning bound at `now`
       // is f + u * (now - last_eval): the k supporting objects are
       // unchanged candidates whose l-bounds all grew by exactly u per
@@ -206,7 +203,7 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
         // s_j(t) falls at rate u while f(t) grows at rate u; they cross at
         // t_cross — re-evaluate before then.
         const double t_cross =
-            (b.lower - r.range - sub.dists.slack - sub.f +
+            (d - r.range - sub.f +
              u * static_cast<double>(last.time + sub.last_eval)) /
             (2.0 * u);
         sub.next_expand =
@@ -316,12 +313,9 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
     } else if (!sub.dists.empty()) {
       // Recompute the pruning bound f exactly as FilterKnnCandidates did
       // for this evaluation (k-th smallest l over every known object).
-      // Interval soundness: l is built from the upper bound (f can only
-      // over-shoot the exact bound, dirtying early), s and t_cross from
-      // the lower bound (crossings predicted early, never late).
       struct Bounds {
         ObjectId object;
-        double lower;  // Query→reader network-distance lower bound.
+        double dist;  // Query→reader network distance.
         double l;
         int64_t t_last;
       };
@@ -333,11 +327,10 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
         }
         const AggregatedEntry last = h->entries.back();
         const Reader& r = deployment.reader(last.reader);
-        const SourceDistances::Bound& b = sub.dists.to_reader[last.reader];
+        const double d = sub.dists.to_reader[last.reader];
         const double radius =
             u * static_cast<double>(now - last.time) + r.range;
-        const double pad = radius + sub.dists.slack;
-        bounds.push_back({o, b.lower, b.upper + pad, last.time});
+        bounds.push_back({o, d, d + radius, last.time});
       }
       if (static_cast<int>(bounds.size()) > sub.query.k) {
         std::vector<double> max_dists;
@@ -356,13 +349,13 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
                                  b.object)) {
             continue;
           }
-          if (!std::isfinite(b.lower)) {
+          if (!std::isfinite(b.dist)) {
             continue;  // Unreachable reader: s_j stays inf forever.
           }
           const Reader& r = deployment.reader(
               collector.History(b.object)->entries.back().reader);
           const double t_cross =
-              (b.lower - r.range - sub.dists.slack - sub.f +
+              (b.dist - r.range - sub.f +
                u * static_cast<double>(b.t_last + now)) /
               (2.0 * u);
           next = std::min(next, t_cross);

@@ -164,13 +164,10 @@ class SubscriptionManager {
     // Earliest time a non-candidate could join the candidate set (margin
     // already subtracted); -inf when not stable, +inf when provably never.
     double next_expand = 0.0;
-    // kKnn pruning state at last_eval: the f bound and the per-reader
-    // distance bounds + slack it was computed through (dists empty when
-    // pruning was off or the entries<=k / prune-degenerate cases made f
-    // meaningless — any changed non-candidate then dirties the
-    // subscription). With an interval-valued backend (the oracle's
-    // landmark fallback) the clean checks stay sound by reading lower
-    // bounds for s and upper bounds for l.
+    // kKnn pruning state at last_eval: the f bound and the query-to-reader
+    // distances it was computed through (dists empty when pruning was off
+    // or the entries<=k / prune-degenerate cases made f meaningless — any
+    // changed non-candidate then dirties the subscription).
     double f = 0.0;
     SourceDistances dists;
     GraphLocation snapped;

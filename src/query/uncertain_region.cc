@@ -22,49 +22,39 @@ UncertainRegion ComputeUncertainRegion(const Deployment& deployment,
   return ur;
 }
 
+namespace {
+
+// Eq. 6 around one query-to-reader distance. An unreachable reader (+inf)
+// yields {inf, inf}: the object can never be proven near, and inf - radius
+// stays inf (never NaN, since the radius is finite).
+DistanceInterval IntervalAround(double to_reader, double radius) {
+  return DistanceInterval{std::max(0.0, to_reader - radius),
+                          to_reader + radius};
+}
+
+}  // namespace
+
 DistanceInterval NetworkDistanceInterval(const OneToAllDistances& from_query,
                                          const Deployment& deployment,
                                          const UncertainRegion& region) {
-  const double to_reader =
-      from_query.ToLocation(deployment.reader(region.reader).loc);
-  return DistanceInterval{std::max(0.0, to_reader - region.radius),
-                          to_reader + region.radius};
+  return IntervalAround(
+      from_query.ToLocation(deployment.reader(region.reader).loc),
+      region.radius);
 }
 
-DistanceInterval NetworkDistanceInterval(const OneToAllDistances& from_source,
-                                         double source_slack,
-                                         const Deployment& deployment,
-                                         const UncertainRegion& region) {
-  const double to_reader =
-      from_source.ToLocation(deployment.reader(region.reader).loc);
-  // True distance from the query is within source_slack of `to_reader`
-  // (triangle inequality through the table source), so widening by it
-  // keeps the interval a superset of the exact [s_i, l_i].
-  const double pad = region.radius + source_slack;
-  return DistanceInterval{std::max(0.0, to_reader - pad), to_reader + pad};
-}
-
-SourceDistances SourceDistances::FromTable(const OneToAllDistances& table,
-                                           double source_slack,
+SourceDistances SourceDistances::FromTable(const OneToAllDistances& from_query,
                                            const Deployment& deployment) {
   SourceDistances out;
-  out.slack = source_slack;
   out.to_reader.reserve(deployment.num_readers());
   for (ReaderId r = 0; r < deployment.num_readers(); ++r) {
-    const double d = table.ToLocation(deployment.reader(r).loc);
-    out.to_reader.push_back(Bound{d, d});
+    out.to_reader.push_back(from_query.ToLocation(deployment.reader(r).loc));
   }
   return out;
 }
 
 DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
                                          const UncertainRegion& region) {
-  const SourceDistances::Bound& b = dists.to_reader[region.reader];
-  const double pad = region.radius + dists.slack;
-  // An unreachable reader (b = {inf, inf}) yields {inf, inf}: the object
-  // can never be proven near, and inf - pad stays inf (never NaN, since
-  // pad is finite).
-  return DistanceInterval{std::max(0.0, b.lower - pad), b.upper + pad};
+  return IntervalAround(dists.to_reader[region.reader], region.radius);
 }
 
 std::vector<ObjectId> FilterRangeCandidates(
@@ -103,20 +93,10 @@ std::vector<ObjectId> FilterKnnCandidates(const WalkingGraph& graph,
                                           const Deployment& deployment,
                                           const GraphLocation& query, int k,
                                           int64_t now, double max_speed) {
-  const OneToAllDistances from_query(graph, query);
-  return FilterKnnCandidates(collector, deployment, from_query,
-                             /*source_slack=*/0.0, k, now, max_speed);
-}
-
-std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
-                                          const Deployment& deployment,
-                                          const OneToAllDistances& from_source,
-                                          double source_slack, int k,
-                                          int64_t now, double max_speed) {
   return FilterKnnCandidates(
       collector, deployment,
-      SourceDistances::FromTable(from_source, source_slack, deployment), k,
-      now, max_speed);
+      SourceDistances::FromTable(OneToAllDistances(graph, query), deployment),
+      k, now, max_speed);
 }
 
 std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,

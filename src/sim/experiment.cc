@@ -32,6 +32,12 @@ Point Experiment::RandomIndoorPoint(const AnchorPointIndex& anchors,
 }
 
 StatusOr<ExperimentResult> Experiment::Run() {
+  if (config_.eval_knn && config_.k < 1) {
+    return Status::InvalidArgument("k must be positive");
+  }
+  if (config_.eval_range && !(config_.window_area_fraction > 0.0)) {
+    return Status::InvalidArgument("window area fraction must be positive");
+  }
   std::unique_ptr<Simulation> sim;
   IPQS_ASSIGN_OR_RETURN(sim, Simulation::Create(config_.sim));
 

@@ -20,6 +20,14 @@ StatusOr<std::unique_ptr<Simulation>> Simulation::Create(
 }
 
 Status Simulation::Init() {
+  // The trace generator and the particle filters treat these as invariants;
+  // reject them here so a bad configuration fails cleanly.
+  if (config_.trace.num_objects < 1) {
+    return Status::InvalidArgument("object count must be positive");
+  }
+  if (config_.filter.num_particles < 1) {
+    return Status::InvalidArgument("particle count must be positive");
+  }
   if (config_.custom_plan.has_value()) {
     plan_ = *config_.custom_plan;
     IPQS_RETURN_IF_ERROR(plan_.Validate());
@@ -115,7 +123,6 @@ Status Simulation::Init() {
   pf_config.use_pruning = config_.use_pruning;
   pf_config.use_cache = config_.use_cache;
   pf_config.use_distance_index = config_.use_distance_index;
-  pf_config.use_distance_oracle = config_.use_distance_oracle;
   pf_config.num_threads = config_.num_threads;
   pf_config.deadline_ms = config_.deadline_ms;
   pf_config.degrade = config_.degrade;

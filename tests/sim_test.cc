@@ -357,5 +357,52 @@ TEST(ExperimentTest, SmallExperimentRunsEndToEnd) {
   EXPECT_GT(result->pf_stats.filter_runs + result->pf_stats.filter_resumes, 0);
 }
 
+// Counts and sizes that arrive from the command line (run_experiment) must
+// fail with INVALID_ARGUMENT, not abort on an internal invariant.
+TEST(ConfigValidationTest, NonPositiveObjectCountIsInvalidArgument) {
+  for (const int objects : {0, -5}) {
+    SimulationConfig config;
+    config.trace.num_objects = objects;
+    const auto sim = Simulation::Create(config);
+    ASSERT_FALSE(sim.ok()) << "objects " << objects;
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ConfigValidationTest, NonPositiveParticleCountIsInvalidArgument) {
+  SimulationConfig config;
+  config.trace.num_objects = 5;
+  config.filter.num_particles = 0;
+  const auto sim = Simulation::Create(config);
+  ASSERT_FALSE(sim.ok());
+  EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+}
+
+ExperimentConfig TinyExperiment() {
+  ExperimentConfig config;
+  config.sim.trace.num_objects = 5;
+  config.warmup_seconds = 20;
+  config.num_timestamps = 1;
+  config.range_queries_per_timestamp = 3;
+  config.knn_query_points = 2;
+  return config;
+}
+
+TEST(ConfigValidationTest, NonPositiveKIsInvalidArgument) {
+  ExperimentConfig config = TinyExperiment();
+  config.k = 0;
+  const auto result = Experiment(config).Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ConfigValidationTest, NonPositiveWindowFractionIsInvalidArgument) {
+  ExperimentConfig config = TinyExperiment();
+  config.window_area_fraction = 0.0;
+  const auto result = Experiment(config).Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace ipqs
