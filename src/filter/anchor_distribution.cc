@@ -1,29 +1,60 @@
 #include "filter/anchor_distribution.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "common/check.h"
 
 namespace ipqs {
 
+namespace {
+
+// Per-thread snapping scratch: one mass slot per anchor of the largest
+// index snapped on this thread. Every slot is zero and unmarked between
+// calls, so a call costs its particles, not the index size.
+struct SnapScratch {
+  std::vector<double> mass;
+  std::vector<uint8_t> touched;
+  std::vector<AnchorId> anchors;  // The touched anchors, in touch order.
+};
+
+}  // namespace
+
 AnchorDistribution AnchorDistribution::FromParticles(
     const AnchorPointIndex& index, const std::vector<Particle>& particles) {
-  std::map<AnchorId, double> mass;
+  thread_local SnapScratch scratch;
+  const size_t num_anchors = static_cast<size_t>(index.num_anchors());
+  if (scratch.mass.size() < num_anchors) {
+    scratch.mass.resize(num_anchors, 0.0);
+    scratch.touched.resize(num_anchors, 0);
+  }
+  // Each anchor sums its particles' weights in particle order, starting
+  // from 0.0, and the total likewise: the same additions an ordered map
+  // keyed by anchor would make, so the result is bit-identical to one.
   double total = 0.0;
   for (const Particle& p : particles) {
     const AnchorId ap = index.NearestOnEdge(p.loc);
-    mass[ap] += p.weight;
+    if (scratch.touched[ap] == 0) {
+      scratch.touched[ap] = 1;
+      scratch.anchors.push_back(ap);
+    }
+    scratch.mass[ap] += p.weight;
     total += p.weight;
   }
+  std::sort(scratch.anchors.begin(), scratch.anchors.end());
   AnchorDistribution dist;
-  if (total <= 0.0) {
-    return dist;
+  if (total > 0.0) {
+    dist.entries_.reserve(scratch.anchors.size());
+    for (AnchorId a : scratch.anchors) {
+      dist.entries_.emplace_back(a, scratch.mass[a] / total);
+    }
   }
-  dist.entries_.reserve(mass.size());
-  for (const auto& [anchor, m] : mass) {
-    dist.entries_.emplace_back(anchor, m / total);
+  for (AnchorId a : scratch.anchors) {
+    scratch.mass[a] = 0.0;
+    scratch.touched[a] = 0;
   }
+  scratch.anchors.clear();
   return dist;
 }
 
@@ -107,6 +138,10 @@ void AnchorObjectTable::Set(ObjectId object, AnchorDistribution distribution) {
   // depends only on WHICH (object, distribution) pairs are present, never
   // on the order queries inserted them in.
   for (const auto& [anchor, p] : distribution.entries()) {
+    IPQS_CHECK_GE(anchor, 0);
+    if (static_cast<size_t>(anchor) >= by_anchor_.size()) {
+      by_anchor_.resize(static_cast<size_t>(anchor) + 1);
+    }
     auto& list = by_anchor_[anchor];
     const auto pos = std::lower_bound(
         list.begin(), list.end(), object,
@@ -123,31 +158,31 @@ void AnchorObjectTable::Erase(ObjectId object) {
   if (it == by_object_.end()) {
     return;
   }
+  // Set sized by_anchor_ past every anchor of the object's distribution.
   for (const auto& [anchor, _] : it->second.entries()) {
-    auto list_it = by_anchor_.find(anchor);
-    if (list_it == by_anchor_.end()) {
-      continue;
-    }
-    std::erase_if(list_it->second,
+    std::erase_if(by_anchor_[anchor],
                   [object](const auto& e) { return e.first == object; });
-    if (list_it->second.empty()) {
-      by_anchor_.erase(list_it);
-    }
   }
   by_object_.erase(it);
 }
 
 void AnchorObjectTable::Clear() {
   by_object_.clear();
-  by_anchor_.clear();
+  // The lists keep their capacity (at most one timestamp's peak of
+  // entries), so refilling the table after the query time moves does not
+  // reallocate them.
+  for (auto& list : by_anchor_) {
+    list.clear();
+  }
 }
 
 const std::vector<std::pair<ObjectId, double>>& AnchorObjectTable::AtAnchor(
     AnchorId anchor) const {
   // Leaked singleton keeps the static trivially destructible.
   static const auto& kEmpty = *new std::vector<std::pair<ObjectId, double>>();
-  const auto it = by_anchor_.find(anchor);
-  return it == by_anchor_.end() ? kEmpty : it->second;
+  return anchor >= 0 && static_cast<size_t>(anchor) < by_anchor_.size()
+             ? by_anchor_[anchor]
+             : kEmpty;
 }
 
 const AnchorDistribution* AnchorObjectTable::Distribution(

@@ -19,7 +19,10 @@ class AnchorDistribution {
   AnchorDistribution() = default;
 
   // Snaps every particle to its nearest anchor point on the same edge and
-  // accumulates weight mass per anchor (Algorithm 2, lines 32-36).
+  // accumulates weight mass per anchor (Algorithm 2, lines 32-36). Every
+  // anchor a particle snapped to gets an entry, zero-mass ones included;
+  // an all-zero total gives an empty distribution. Accumulates in a
+  // per-thread dense scratch, so concurrent calls are safe.
   static AnchorDistribution FromParticles(const AnchorPointIndex& index,
                                           const std::vector<Particle>& particles);
 
@@ -81,8 +84,10 @@ class AnchorObjectTable {
 
  private:
   std::unordered_map<ObjectId, AnchorDistribution> by_object_;
-  std::unordered_map<AnchorId, std::vector<std::pair<ObjectId, double>>>
-      by_anchor_;
+  // Indexed by AnchorId, sized past the largest anchor ever set (a few
+  // hundred in the Table 2 world); an anchor without mass has an empty
+  // list.
+  std::vector<std::vector<std::pair<ObjectId, double>>> by_anchor_;
 };
 
 }  // namespace ipqs

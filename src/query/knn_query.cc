@@ -1,13 +1,64 @@
 #include "query/knn_query.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/check.h"
 
 namespace ipqs {
+
+namespace {
+
+struct Frontier {
+  double dist;
+  AnchorId anchor;
+  bool operator>(const Frontier& o) const { return dist > o.dist; }
+};
+
+// Per-thread expansion scratch, reused across queries: an anchor's distance
+// slot is valid only while its stamp equals the running query's generation,
+// so no query allocates or resets a slot per anchor. The heap is driven by
+// the same push_heap/pop_heap calls a std::priority_queue makes, so anchors
+// pop in the same order.
+struct ExpansionScratch {
+  std::vector<double> dist;
+  std::vector<uint64_t> stamp;
+  uint64_t generation = 0;
+  std::vector<Frontier> heap;
+
+  void Begin(size_t num_anchors) {
+    if (dist.size() < num_anchors) {
+      dist.resize(num_anchors);
+      stamp.resize(num_anchors, 0);
+    }
+    ++generation;
+    heap.clear();
+  }
+  double Dist(AnchorId a) const {
+    return stamp[a] == generation ? dist[a]
+                                  : std::numeric_limits<double>::infinity();
+  }
+  // Records `d` for `a` and queues it when it improves on the known
+  // distance.
+  void Relax(AnchorId a, double d) {
+    if (d < Dist(a)) {
+      dist[a] = d;
+      stamp[a] = generation;
+      heap.push_back({d, a});
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+  }
+  Frontier Pop() {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const Frontier top = heap.back();
+    heap.pop_back();
+    return top;
+  }
+};
+
+}  // namespace
 
 KnnQueryEvaluator::KnnQueryEvaluator(const WalkingGraph* graph,
                                      const AnchorPointIndex* anchors,
@@ -35,38 +86,27 @@ KnnResult KnnQueryEvaluator::Evaluate(
     const std::vector<ObjectId>* restrict_to) const {
   IPQS_CHECK_GT(k, 0);
   KnnResult out;
-  const auto allowed = [restrict_to](ObjectId object) {
-    return restrict_to == nullptr ||
-           std::binary_search(restrict_to->begin(), restrict_to->end(),
-                              object);
-  };
+  std::vector<ObjectId> all;
+  if (restrict_to == nullptr) {
+    all = table.Objects();
+    restrict_to = &all;
+  }
+  CandidateSums sums(*restrict_to);
 
-  struct Entry {
-    double dist;
-    AnchorId anchor;
-    bool operator>(const Entry& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  std::vector<double> dist(anchor_graph_->num_anchors(),
-                           std::numeric_limits<double>::infinity());
-
+  thread_local ExpansionScratch scratch;
+  scratch.Begin(static_cast<size_t>(anchor_graph_->num_anchors()));
   for (const auto& [anchor, d] : anchor_graph_->SeedsFrom(*anchors_, query)) {
-    if (d < dist[anchor]) {
-      dist[anchor] = d;
-      queue.push({d, anchor});
-    }
+    scratch.Relax(anchor, d);
   }
 
-  while (!queue.empty()) {
-    const Entry top = queue.top();
-    queue.pop();
-    if (top.dist > dist[top.anchor]) {
+  while (!scratch.heap.empty()) {
+    const Frontier top = scratch.Pop();
+    if (top.dist > scratch.Dist(top.anchor)) {
       continue;
     }
     ++out.anchors_searched;
     for (const auto& [object, p] : table.AtAnchor(top.anchor)) {
-      if (allowed(object)) {
-        out.result.Add(object, p);
+      if (sums.Add(object, p)) {
         out.total_probability += p;
       }
     }
@@ -75,13 +115,10 @@ KnnResult KnnQueryEvaluator::Evaluate(
     }
     for (const AnchorGraph::Neighbor& nb :
          anchor_graph_->NeighborsOf(top.anchor)) {
-      const double cand = top.dist + nb.dist;
-      if (cand < dist[nb.anchor]) {
-        dist[nb.anchor] = cand;
-        queue.push({cand, nb.anchor});
-      }
+      scratch.Relax(nb.anchor, top.dist + nb.dist);
     }
   }
+  out.result.objects = sums.Objects();
   return out;
 }
 

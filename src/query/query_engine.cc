@@ -133,10 +133,21 @@ void QueryEngine::InitObservability() {
 }
 
 void QueryEngine::SyncTableTo(int64_t now) {
-  if (table_time_ != now) {
+  const uint64_t version = collector_->version();
+  if (table_time_ != now || table_version_ != version) {
     table_.Clear();
     table_time_ = now;
+    table_version_ = version;
   }
+}
+
+std::span<const KnownObject> QueryEngine::ObjectView() {
+  const uint64_t version = collector_->version();
+  if (view_version_ != version) {
+    view_ = KnownObjectsOf(*collector_);
+    view_version_ = version;
+  }
+  return view_;
 }
 
 std::optional<AnchorDistribution> QueryEngine::ComputeInference(
@@ -239,11 +250,11 @@ void QueryEngine::InferBatch(const std::vector<ObjectId>& candidates,
   std::vector<ObjectId> todo;
   todo.reserve(candidates.size());
   for (ObjectId object : candidates) {
-    const DataCollector::ObjectHistory* history = collector_->History(object);
-    if (history == nullptr || history->entries.empty()) {
+    if (table_.Distribution(object) != nullptr) {
       continue;
     }
-    if (table_.Distribution(object) != nullptr) {
+    const DataCollector::ObjectHistory* history = collector_->History(object);
+    if (history == nullptr || history->entries.empty()) {
       continue;
     }
     todo.push_back(object);
@@ -385,13 +396,15 @@ QueryEngine::ServeCounts QueryEngine::Serve(
     }
   }
 
-  // Stage 2: prune. Sorting here is the pipeline's one canonicalization;
-  // planning, inference and evaluation all rely on it.
-  const std::vector<ObjectId> known_objects = collector_->KnownObjects();
-  const int64_t known = static_cast<int64_t>(known_objects.size());
+  // Stage 2: prune. The object view is ascending by object, so every
+  // candidate set comes out canonical (ascending, unique); planning,
+  // inference and evaluation all rely on it.
+  int64_t known = 0;
   {
     const obs::TraceSpan prune_span(trace_, "prune");
     const obs::ScopedTimer prune_timer(timers_.prune_ns);
+    const std::span<const KnownObject> view = ObjectView();
+    known = static_cast<int64_t>(view.size());
     for (Distinct& d : distinct) {
       const BatchQuery& query = batch[d.first];
       counters_.objects_considered->Increment(known);
@@ -399,19 +412,19 @@ QueryEngine::ServeCounts QueryEngine::Serve(
         d.q = graph_->NearestLocation(query.point, /*prefer_hallways=*/true);
       }
       if (!config_.use_pruning) {
-        d.restrict = known_objects;
+        d.restrict.reserve(view.size());
+        for (const KnownObject& o : view) {
+          d.restrict.push_back(o.object);
+        }
       } else if (query.kind == BatchQuery::Kind::kRange) {
         d.restrict = FilterRangeCandidates(
-            *collector_, *deployment_, range_eval_.Footprint(query.window),
-            now, config_.max_speed);
+            view, *deployment_, range_eval_.Footprint(query.window), now,
+            config_.max_speed);
       } else {
         d.qd = DistancesFor(d.q);
-        d.restrict = FilterKnnCandidates(*collector_, *deployment_, *d.qd,
-                                         query.k, now, config_.max_speed);
+        d.restrict = FilterKnnCandidates(view, *deployment_, *d.qd, query.k,
+                                         now, config_.max_speed);
       }
-      std::sort(d.restrict.begin(), d.restrict.end());
-      d.restrict.erase(std::unique(d.restrict.begin(), d.restrict.end()),
-                       d.restrict.end());
       counts.candidate_slots += static_cast<int64_t>(d.restrict.size());
     }
   }

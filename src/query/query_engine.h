@@ -177,7 +177,8 @@ struct DegradeStats {
 //
 // The engine owns no simulation state; it reads the shared DataCollector
 // and lazily infers location distributions for candidate objects at query
-// time, memoizing them in the APtoObjHT for the duration of one timestamp.
+// time, memoizing them in the APtoObjHT for as long as the timestamp and
+// the collector's version stay put.
 //
 // Every query runs through one pipeline, Serve(): a serial EvaluateRange /
 // EvaluateKnn call is a batch of one, QueryScheduler is its batched front
@@ -286,7 +287,8 @@ class QueryEngine {
     cache_.RestoreEntries(std::move(entries));
   }
 
-  // The current APtoObjHT (valid for the last queried timestamp).
+  // The current APtoObjHT (valid for the last queried timestamp and
+  // collector version).
   const AnchorObjectTable& table() const { return table_; }
 
  private:
@@ -342,8 +344,15 @@ class QueryEngine {
   BatchAnswer ServeOne(const BatchQuery& query, int64_t now,
                        int64_t deadline_ms, obs::QueryExplain* explain);
 
-  // Drops memoized distributions when the query timestamp moves.
+  // Drops memoized distributions when the query timestamp or the
+  // collector's version moves: a memo is valid for one (now, version).
   void SyncTableTo(int64_t now);
+
+  // The collector's detected objects with their newest entries, ascending
+  // by object (KnownObjectsOf), rebuilt only when the collector's version
+  // moves. Pruning, objects_considered and the subscription reach loops
+  // read this instead of the collector's hash map.
+  std::span<const KnownObject> ObjectView();
 
   // The pure per-object inference: draws only from the (seed, object, now)
   // stream and touches no engine state besides the (sharded, locked)
@@ -449,6 +458,10 @@ class QueryEngine {
 
   AnchorObjectTable table_;
   int64_t table_time_ = -1;
+  uint64_t table_version_ = 0;
+
+  std::vector<KnownObject> view_;
+  std::optional<uint64_t> view_version_;
 
   // Observability (see EngineConfig::metrics). own_registry_ backs the
   // EngineStats counters when no external registry was configured.

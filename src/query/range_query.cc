@@ -50,6 +50,49 @@ std::vector<ObjectId> QueryResult::TopObjects(int k) const {
   return out;
 }
 
+CandidateSums::CandidateSums(const std::vector<ObjectId>& candidates)
+    : candidates_(candidates), slots_(candidates.size()) {
+  touched_.reserve(candidates.size());
+}
+
+bool CandidateSums::Add(ObjectId object, double p) {
+  // A branch-free lower_bound: table entries hit candidates in no
+  // predictable order, so a branching search mispredicts at every level.
+  size_t n = candidates_.size();
+  if (n == 0) {
+    return false;
+  }
+  const ObjectId* base = candidates_.data();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half - 1] < object ? base + half : base;
+    n -= half;
+  }
+  if (*base != object) {
+    return false;
+  }
+  const auto index = static_cast<uint32_t>(base - candidates_.data());
+  Slot& slot = slots_[index];
+  if (slot.touched) {
+    slot.sum += p;
+  } else {
+    // A first touch stores p as-is, like QueryResult::Add's emplace_back.
+    slot.sum = p;
+    slot.touched = true;
+    touched_.push_back(index);
+  }
+  return true;
+}
+
+std::vector<std::pair<ObjectId, double>> CandidateSums::Objects() const {
+  std::vector<std::pair<ObjectId, double>> out;
+  out.reserve(touched_.size());
+  for (uint32_t i : touched_) {
+    out.emplace_back(candidates_[i], slots_[i].sum);
+  }
+  return out;
+}
+
 RangeQueryEvaluator::RangeQueryEvaluator(const FloorPlan* plan,
                                          const AnchorPointIndex* anchors)
     : plan_(plan), anchors_(anchors) {
@@ -103,12 +146,12 @@ QueryResult RangeQueryEvaluator::Evaluate(const AnchorObjectTable& table,
 QueryResult RangeQueryEvaluator::Evaluate(
     const AnchorObjectTable& table, const Rect& window,
     const std::vector<ObjectId>* restrict_to) const {
-  QueryResult result;
-  const auto allowed = [restrict_to](ObjectId object) {
-    return restrict_to == nullptr ||
-           std::binary_search(restrict_to->begin(), restrict_to->end(),
-                              object);
-  };
+  std::vector<ObjectId> all;
+  if (restrict_to == nullptr) {
+    all = table.Objects();
+    restrict_to = &all;
+  }
+  CandidateSums sums(*restrict_to);
 
   // Hallway part: anchors inside the window's along-hallway extent,
   // compensated by the covered fraction of the hallway width.
@@ -136,9 +179,7 @@ QueryResult RangeQueryEvaluator::Evaluate(
         continue;
       }
       for (const auto& [object, p] : table.AtAnchor(a)) {
-        if (allowed(object)) {
-          result.Add(object, p * ratio);
-        }
+        sums.Add(object, p * ratio);
       }
     }
   }
@@ -156,12 +197,12 @@ QueryResult RangeQueryEvaluator::Evaluate(
     }
     for (AnchorId a : anchors_->InRoom(r.id)) {
       for (const auto& [object, p] : table.AtAnchor(a)) {
-        if (allowed(object)) {
-          result.Add(object, p * ratio);
-        }
+        sums.Add(object, p * ratio);
       }
     }
   }
+  QueryResult result;
+  result.objects = sums.Objects();
   return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef IPQS_QUERY_RANGE_QUERY_H_
 #define IPQS_QUERY_RANGE_QUERY_H_
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -34,6 +35,32 @@ struct QueryResult {
   std::vector<ObjectId> TopObjects(int k = -1) const;
 };
 
+// Algorithm 3/4's resultSet for a query restricted to a sorted, unique
+// candidate list: one slot per candidate, found with one lower_bound per
+// added entry. Objects come out in first-touch order and every slot sums
+// its additions in the order they arrive — exactly the vector repeated
+// QueryResult::Add calls would build, without Add's linear scan.
+class CandidateSums {
+ public:
+  explicit CandidateSums(const std::vector<ObjectId>& candidates);
+
+  // Adds `p` to `object`'s slot and returns true; returns false, changing
+  // nothing, when `object` is not a candidate.
+  bool Add(ObjectId object, double p);
+
+  // The touched candidates with their sums, in first-touch order.
+  std::vector<std::pair<ObjectId, double>> Objects() const;
+
+ private:
+  struct Slot {
+    double sum = 0.0;
+    bool touched = false;
+  };
+  const std::vector<ObjectId>& candidates_;
+  std::vector<Slot> slots_;        // Indexed like candidates_.
+  std::vector<uint32_t> touched_;  // Slot indices in first-touch order.
+};
+
 // Indoor range query evaluation (Algorithm 3). Anchor points are the 1-D
 // projection of 2-D space, so the lost dimension is compensated per
 // container:
@@ -46,10 +73,11 @@ class RangeQueryEvaluator {
   RangeQueryEvaluator(const FloorPlan* plan, const AnchorPointIndex* anchors);
 
   // Probability each object lies inside `window`, given the location
-  // distributions in `table`. With `restrict_to` non-null (a SORTED object
-  // id list), only those objects contribute: the table may hold
+  // distributions in `table`. With `restrict_to` non-null (a SORTED, unique
+  // object id list), only those objects contribute: the table may hold
   // distributions memoized for other queries at the same timestamp, and a
-  // query's answer must be a function of its own candidate set alone.
+  // query's answer must be a function of its own candidate set alone. A
+  // null `restrict_to` restricts to table.Objects().
   QueryResult Evaluate(const AnchorObjectTable& table,
                        const Rect& window) const;
   QueryResult Evaluate(const AnchorObjectTable& table, const Rect& window,

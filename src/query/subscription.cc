@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -160,9 +160,9 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
       return false;
     }
     const AggregatedEntry last = h->entries.back();
+    const UncertainRegion ur =
+        ComputeUncertainRegion(deployment, j, last, now, u);
     if (sub.query.kind == BatchQuery::Kind::kRange) {
-      const UncertainRegion ur =
-          ComputeUncertainRegion(deployment, j, last, now, u);
       const double gap = FootprintDistance(sub.footprint, ur.center);
       if (gap <= ur.radius) {
         return false;  // Joined the candidate set.
@@ -186,9 +186,7 @@ bool SubscriptionManager::ChangesClean(Sub& sub,
       // An unreachable reader reads +inf: s_now stays inf, which never
       // dips under a finite f_now — correct, the object can never arrive.
       const double d = sub.dists.to_reader[last.reader];
-      const double radius =
-          u * static_cast<double>(now - last.time) + r.range;
-      const double s_now = std::max(0.0, d - radius);
+      const double s_now = NetworkDistanceInterval(sub.dists, ur).min_dist;
       // While the subscription is clean, the exact pruning bound at `now`
       // is f + u * (now - last_eval): the k supporting objects are
       // unchanged candidates whose l-bounds all grew by exactly u per
@@ -287,81 +285,57 @@ void SubscriptionManager::RefreshState(Sub& sub, const BatchAnswer& answer,
   double next = kInf;
   const double u = cfg.max_speed;
   if (cfg.use_pruning && u > 0.0) {
+    const std::span<const KnownObject> view = engine_->ObjectView();
+    // Both the view and the candidates ascend by object: one merge walk
+    // finds the non-candidates.
+    auto is_candidate = [&sub, c = sub.candidates.begin()](
+                                  ObjectId o) mutable {
+      while (c != sub.candidates.end() && *c < o) {
+        ++c;
+      }
+      return c != sub.candidates.end() && *c == o;
+    };
     if (sub.query.kind == BatchQuery::Kind::kRange) {
       // Readers are pinned: memoize the footprint distance per reader.
-      std::unordered_map<ReaderId, double> footprint_dist;
-      for (ObjectId o : collector.KnownObjects()) {
-        if (std::binary_search(sub.candidates.begin(), sub.candidates.end(),
-                               o)) {
+      std::vector<double> footprint_dist(
+          static_cast<size_t>(deployment.num_readers()), -1.0);
+      for (const KnownObject& o : view) {
+        if (is_candidate(o.object)) {
           continue;
         }
-        const DataCollector::ObjectHistory* h = collector.History(o);
-        if (h == nullptr || h->entries.empty()) {
-          continue;
-        }
-        const AggregatedEntry last = h->entries.back();
-        auto [it, inserted] = footprint_dist.try_emplace(last.reader, 0.0);
-        if (inserted) {
-          it->second = FootprintDistance(
-              sub.footprint, deployment.reader(last.reader).pos);
+        const Reader& r = deployment.reader(o.last.reader);
+        double& gap = footprint_dist[static_cast<size_t>(o.last.reader)];
+        if (gap < 0.0) {
+          gap = FootprintDistance(sub.footprint, r.pos);
         }
         const double t_touch =
-            static_cast<double>(last.time) +
-            (it->second - deployment.reader(last.reader).range) / u;
+            static_cast<double>(o.last.time) + (gap - r.range) / u;
         next = std::min(next, t_touch);
       }
     } else if (!sub.dists.empty()) {
-      // Recompute the pruning bound f exactly as FilterKnnCandidates did
-      // for this evaluation (k-th smallest l over every known object).
-      struct Bounds {
-        ObjectId object;
-        double dist;  // Query→reader network distance.
-        double l;
-        int64_t t_last;
-      };
-      std::vector<Bounds> bounds;
-      for (ObjectId o : collector.KnownObjects()) {
-        const DataCollector::ObjectHistory* h = collector.History(o);
-        if (h == nullptr || h->entries.empty()) {
-          continue;
-        }
-        const AggregatedEntry last = h->entries.back();
-        const Reader& r = deployment.reader(last.reader);
-        const double d = sub.dists.to_reader[last.reader];
-        const double radius =
-            u * static_cast<double>(now - last.time) + r.range;
-        bounds.push_back({o, d, d + radius, last.time});
-      }
-      if (static_cast<int>(bounds.size()) > sub.query.k) {
-        std::vector<double> max_dists;
-        max_dists.reserve(bounds.size());
-        for (const Bounds& b : bounds) {
-          max_dists.push_back(b.l);
-        }
-        std::nth_element(max_dists.begin(),
-                         max_dists.begin() + (sub.query.k - 1),
-                         max_dists.end());
-        sub.f = max_dists[sub.query.k - 1];
-      }
+      // The pruning bound f exactly as FilterKnnCandidates computed it for
+      // this evaluation (k-th smallest l over every known object).
+      sub.f = KnnPruneBound(
+          NetworkDistanceIntervals(view, deployment, sub.dists, now, u),
+          sub.query.k);
       if (std::isfinite(sub.f)) {
-        for (const Bounds& b : bounds) {
-          if (std::binary_search(sub.candidates.begin(), sub.candidates.end(),
-                                 b.object)) {
+        for (const KnownObject& o : view) {
+          if (is_candidate(o.object)) {
             continue;
           }
-          if (!std::isfinite(b.dist)) {
+          const double d = sub.dists.to_reader[o.last.reader];
+          if (!std::isfinite(d)) {
             continue;  // Unreachable reader: s_j stays inf forever.
           }
-          const Reader& r = deployment.reader(
-              collector.History(b.object)->entries.back().reader);
+          const Reader& r = deployment.reader(o.last.reader);
           const double t_cross =
-              (b.dist - r.range - sub.f +
-               u * static_cast<double>(b.t_last + now)) /
+              (d - r.range - sub.f +
+               u * static_cast<double>(o.last.time + now)) /
               (2.0 * u);
           next = std::min(next, t_cross);
         }
       }
-      // bounds.size() <= k keeps f at +inf: every known object was a
+      // At most k known objects keep f at +inf: every known object was a
       // candidate, and any new object arrives as a change (which dirties).
       // f == +inf (fewer than k finite l's) likewise admits everything as
       // a candidate, and the inf guard keeps inf - inf out of t_cross.

@@ -2,6 +2,7 @@
 #define IPQS_QUERY_UNCERTAIN_REGION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/point.h"
@@ -30,10 +31,29 @@ struct UncertainRegion {
   }
 };
 
+// The radius r above, for a reader of activation range `range` that last
+// saw the object at `last_time`.
+inline double UncertainRadius(double range, int64_t last_time, int64_t now,
+                              double max_speed) {
+  return max_speed * static_cast<double>(now - last_time) + range;
+}
+
 UncertainRegion ComputeUncertainRegion(const Deployment& deployment,
                                        ObjectId object,
                                        const AggregatedEntry& last_reading,
                                        int64_t now, double max_speed);
+
+// A detected object and its newest aggregated entry: everything pruning
+// reads from the collector, since an uncertain region is centred on the
+// last detecting reader.
+struct KnownObject {
+  ObjectId object = kInvalidId;
+  AggregatedEntry last;
+};
+
+// Every object of `collector` with at least one entry, ascending by object.
+// Pruning over this view emits ascending, unique candidate sets.
+std::vector<KnownObject> KnownObjectsOf(const DataCollector& collector);
 
 // Min/max shortest-network-distance interval [s_i, l_i] from a query point
 // to an uncertain region (Equation 6):
@@ -70,32 +90,49 @@ struct SourceDistances {
 DistanceInterval NetworkDistanceInterval(const SourceDistances& dists,
                                          const UncertainRegion& region);
 
+// The interval of every object in `objects` at `now`, in the same order.
+std::vector<DistanceInterval> NetworkDistanceIntervals(
+    std::span<const KnownObject> objects, const Deployment& deployment,
+    const SourceDistances& dists, int64_t now, double max_speed);
+
+// The kNN pruning bound f of [30]: the k-th smallest l_i, or +inf when
+// there are at most k intervals (nothing can be pruned then).
+double KnnPruneBound(std::span<const DistanceInterval> intervals, int k);
+
 // Range-query candidate filter: objects whose uncertain region overlaps at
-// least one of the rectangles. The engine passes a window's footprint
-// (RangeQueryEvaluator::Footprint), not the bare window, because the range
-// evaluator credits whole rooms and hallway widths. Objects without any
-// reading are never candidates (they have never been inside the
-// instrumented space).
+// least one of the rectangles, ascending. The engine passes a window's
+// footprint (RangeQueryEvaluator::Footprint), not the bare window, because
+// the range evaluator credits whole rooms and hallway widths. Objects
+// without any reading are never candidates (they have never been inside
+// the instrumented space).
+std::vector<ObjectId> FilterRangeCandidates(
+    std::span<const KnownObject> objects, const Deployment& deployment,
+    const std::vector<Rect>& windows, int64_t now, double max_speed);
+// The same filter over a collector's current objects.
 std::vector<ObjectId> FilterRangeCandidates(
     const DataCollector& collector, const Deployment& deployment,
     const std::vector<Rect>& windows, int64_t now, double max_speed);
 
-// kNN candidate filter (distance-based pruning of [30]): drops every object
-// whose s_i exceeds f = the k-th smallest l_i. Runs one Dijkstra from the
-// query point.
+// kNN candidate filter (distance-based pruning of [30]) over precomputed
+// per-reader distances: drops every object whose s_i exceeds f =
+// KnnPruneBound; the survivors come out ascending. With unreachable
+// readers in play f can be +inf, in which case nothing is pruned — a sound
+// superset; the evaluation stage, which expands over the actual graph, is
+// what rules unreachable objects out.
+std::vector<ObjectId> FilterKnnCandidates(std::span<const KnownObject> objects,
+                                          const Deployment& deployment,
+                                          const SourceDistances& dists, int k,
+                                          int64_t now, double max_speed);
+// The same filter over a collector's current objects.
+std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
+                                          const Deployment& deployment,
+                                          const SourceDistances& dists, int k,
+                                          int64_t now, double max_speed);
+// The same filter, running one Dijkstra from the query point.
 std::vector<ObjectId> FilterKnnCandidates(const WalkingGraph& graph,
                                           const DataCollector& collector,
                                           const Deployment& deployment,
                                           const GraphLocation& query, int k,
-                                          int64_t now, double max_speed);
-
-// Same filter over precomputed per-reader distances. With unreachable
-// readers in play the cutoff f (k-th smallest l_i) can be +inf, in which
-// case nothing is pruned — a sound superset; the evaluation stage, which
-// expands over the actual graph, is what rules unreachable objects out.
-std::vector<ObjectId> FilterKnnCandidates(const DataCollector& collector,
-                                          const Deployment& deployment,
-                                          const SourceDistances& dists, int k,
                                           int64_t now, double max_speed);
 
 }  // namespace ipqs

@@ -61,12 +61,19 @@ void DataCollector::NoteReaderHeartbeat(ReaderId reader, int64_t time) {
 void DataCollector::MarkReadersLive(std::span<const ReaderId> readers,
                                     int64_t second) {
   std::vector<uint8_t>& live = live_by_second_[second];
+  // The version moves only when ReaderLiveAt can answer differently: a
+  // reader newly live at `second`, or the retention window sliding.
+  bool changed = second > live_max_;
   for (ReaderId reader : readers) {
     IPQS_CHECK_GE(reader, 0);
     if (static_cast<size_t>(reader) >= live.size()) {
       live.resize(static_cast<size_t>(reader) + 1, 0);
     }
+    changed |= live[reader] == 0;
     live[reader] = 1;
+  }
+  if (changed) {
+    ++version_;
   }
   live_max_ = std::max(live_max_, second);
   while (!live_by_second_.empty() &&
@@ -196,6 +203,7 @@ void DataCollector::Ingest(const RawReading& reading) {
   }
 
   h.entries.push_back({reading.time, reading.reader});
+  ++version_;
   if (metrics_.entries != nullptr) {
     metrics_.entries->Increment();
   }
@@ -275,6 +283,7 @@ void DataCollector::RestoreState(PersistedState state) {
   // cursor so each consumer observes a lost_sync on its next read.
   change_log_.clear();
   change_begin_ = ++change_end_;
+  ++version_;
   // Per-reader health inputs are process-local (the serde format is
   // frozen): reset them so a recovered collector re-warms from scratch.
   reader_observed_.clear();

@@ -225,6 +225,13 @@ class DataCollector {
   // All objects with at least one detection.
   std::vector<ObjectId> KnownObjects() const;
 
+  // Changes whenever anything a query reads changes: an applied entry, a
+  // reader newly marked live at some second, or RestoreState. Duplicates
+  // and repeated liveness marks leave it alone. Readers that derive state
+  // from the collector (QueryEngine's object view and its APtoObjHT memo)
+  // key it on this; it never repeats within one collector's lifetime.
+  uint64_t version() const { return version_; }
+
   // ENTER/LEAVE event log (recorded only when enabled; off by default to
   // keep long simulations lean).
   void set_record_events(bool record) { record_events_ = record; }
@@ -275,6 +282,7 @@ class DataCollector {
 
   CollectorConfig config_;
   std::unordered_map<ObjectId, ObjectHistory> histories_;
+  uint64_t version_ = 0;
   std::vector<ReaderEvent> events_;
   bool record_events_ = false;
   CollectorMetrics metrics_;
