@@ -113,13 +113,13 @@ void BM_PredictStage(benchmark::State& state) {
   config.num_particles = static_cast<int>(state.range(0));
   const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
   Rng init_rng(11);
-  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const ParticleSoA base = filter.InitializeAtReader(2, init_rng);
   const MotionModel& motion = filter.motion_model();
   const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
   ParticleSoA soa;
   FilterArena arena;
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     Rng rng(12);
     for (int s = 0; s < kStageSteps; ++s) {
       motion.StepAll(sim.graph(), edges, &soa, &arena, 1.0, rng);
@@ -137,14 +137,14 @@ void BM_WeightStage(benchmark::State& state) {
   config.num_particles = static_cast<int>(state.range(0));
   const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
   Rng init_rng(13);
-  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const ParticleSoA base = filter.InitializeAtReader(2, init_rng);
   const MeasurementModel& meas = filter.measurement_model();
   constexpr ReaderId kDetector = 2;
   const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
   ParticleSoA soa;
   FilterArena arena;
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     const size_t n = soa.size();
     arena.x.resize(n);
     arena.y.resize(n);
@@ -173,25 +173,23 @@ void BM_ResampleStage(benchmark::State& state) {
   config.num_particles = static_cast<int>(state.range(0));
   const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
   Rng init_rng(17);
-  std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  ParticleSoA base = filter.InitializeAtReader(2, init_rng);
   {
     // Non-uniform weights so resampling actually reshuffles the set.
     Rng wrng(19);
-    for (Particle& p : base) p.weight = wrng.Uniform(0.01, 1.0);
+    for (double& w : base.weight) w = wrng.Uniform(0.01, 1.0);
     NormalizeWeights(&base);
   }
   Rng rng(23);
   ParticleSoA soa;
   FilterArena arena;
-  std::vector<double> base_weights;
-  for (const Particle& p : base) base_weights.push_back(p.weight);
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     for (int s = 0; s < kStageSteps; ++s) {
       SystematicResample(&soa, &arena, rng);
       // Restore the skewed (pre-normalized) weights so every round does
       // real selection work.
-      soa.weight = base_weights;
+      soa.weight = base.weight;
     }
     benchmark::DoNotOptimize(soa.weight.data());
   }
@@ -208,13 +206,13 @@ void BM_RoughenStage(benchmark::State& state) {
   config.num_particles = static_cast<int>(state.range(0));
   const ParticleFilter filter(&sim.graph(), &sim.deployment(), config);
   Rng init_rng(29);
-  const std::vector<Particle> base = filter.InitializeAtReader(2, init_rng);
+  const ParticleSoA base = filter.InitializeAtReader(2, init_rng);
   const MotionModel& motion = filter.motion_model();
   const EdgeSoA edges = EdgeSoA::FromGraph(sim.graph());
   ParticleSoA soa;
   Rng rng(31);
   for (auto _ : state) {
-    soa.AssignFrom(base);
+    soa = base;
     for (int s = 0; s < kStageSteps; ++s) {
       motion.RoughenAll(edges, &soa, rng);
     }
@@ -224,21 +222,6 @@ void BM_RoughenStage(benchmark::State& state) {
                           static_cast<int64_t>(base.size()));
 }
 BENCHMARK(BM_RoughenStage)->Arg(64)->Arg(1024);
-
-void BM_Resample(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<Particle> base(state.range(0));
-  for (size_t i = 0; i < base.size(); ++i) {
-    base[i].loc = GraphLocation{0, 0.1};
-    base[i].weight = rng.Uniform(0.01, 1.0);
-  }
-  for (auto _ : state) {
-    std::vector<Particle> particles = base;
-    SystematicResample(&particles, rng);
-    benchmark::DoNotOptimize(particles);
-  }
-}
-BENCHMARK(BM_Resample)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_FilterRun(benchmark::State& state) {
   Simulation& sim = World();

@@ -22,7 +22,7 @@ struct SnapScratch {
 }  // namespace
 
 AnchorDistribution AnchorDistribution::FromParticles(
-    const AnchorPointIndex& index, const std::vector<Particle>& particles) {
+    const AnchorPointIndex& index, const ParticleSoA& particles) {
   thread_local SnapScratch scratch;
   const size_t num_anchors = static_cast<size_t>(index.num_anchors());
   if (scratch.mass.size() < num_anchors) {
@@ -33,14 +33,16 @@ AnchorDistribution AnchorDistribution::FromParticles(
   // from 0.0, and the total likewise: the same additions an ordered map
   // keyed by anchor would make, so the result is bit-identical to one.
   double total = 0.0;
-  for (const Particle& p : particles) {
-    const AnchorId ap = index.NearestOnEdge(p.loc);
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const AnchorId ap = index.NearestOnEdge(
+        GraphLocation{particles.edge[i], particles.offset[i]});
     if (scratch.touched[ap] == 0) {
       scratch.touched[ap] = 1;
       scratch.anchors.push_back(ap);
     }
-    scratch.mass[ap] += p.weight;
-    total += p.weight;
+    const double w = particles.weight[i];
+    scratch.mass[ap] += w;
+    total += w;
   }
   std::sort(scratch.anchors.begin(), scratch.anchors.end());
   AnchorDistribution dist;

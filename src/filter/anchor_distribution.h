@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "filter/particle.h"
+#include "filter/particle_soa.h"
 #include "graph/anchor_points.h"
 #include "rfid/reader.h"
 
@@ -24,7 +24,7 @@ class AnchorDistribution {
   // an all-zero total gives an empty distribution. Accumulates in a
   // per-thread dense scratch, so concurrent calls are safe.
   static AnchorDistribution FromParticles(const AnchorPointIndex& index,
-                                          const std::vector<Particle>& particles);
+                                          const ParticleSoA& particles);
 
   // Uniform distribution over the given anchor points (the symbolic model's
   // "uniform over all reachable locations").

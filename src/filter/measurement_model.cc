@@ -13,13 +13,6 @@ MeasurementModel::MeasurementModel(const MeasurementConfig& config)
   IPQS_CHECK_GT(config.silent_zone_weight, 0.0);
 }
 
-double MeasurementModel::WeightOnDetection(const Deployment& deployment,
-                                           const Point& pos,
-                                           ReaderId detected_by) const {
-  return deployment.reader(detected_by).InRange(pos) ? config_.hit_weight
-                                                     : config_.miss_weight;
-}
-
 size_t MeasurementModel::WeightOnDetection(const Deployment& deployment,
                                            ReaderId detected_by, size_t n,
                                            const double* x, const double* y,
@@ -42,33 +35,6 @@ size_t MeasurementModel::WeightOnDetection(const Deployment& deployment,
     in_range += inside ? 1 : 0;
   }
   return in_range;
-}
-
-double MeasurementModel::WeightOnSilence(const Deployment& deployment,
-                                         const Point& pos) const {
-  if (!config_.use_negative_information) {
-    return 1.0;
-  }
-  return deployment.FirstCovering(pos).has_value()
-             ? config_.silent_zone_weight
-             : 1.0;
-}
-
-double MeasurementModel::WeightOnSilence(const Deployment& deployment,
-                                         const Point& pos,
-                                         const uint8_t* reader_trusted) const {
-  if (reader_trusted == nullptr) {
-    return WeightOnSilence(deployment, pos);
-  }
-  if (!config_.use_negative_information) {
-    return 1.0;
-  }
-  for (const Reader& r : deployment.readers()) {
-    if (reader_trusted[r.id] != 0 && r.InRange(pos)) {
-      return config_.silent_zone_weight;
-    }
-  }
-  return 1.0;
 }
 
 size_t MeasurementModel::WeightOnSilence(const Deployment& deployment,

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "filter/particle.h"
-#include "geom/point.h"
 #include "rfid/deployment.h"
 
 // Keeps the batch kernels standalone under LTO: a cross-TU-inlined body
@@ -45,51 +43,39 @@ class MeasurementModel {
 
   const MeasurementConfig& config() const { return config_; }
 
-  // Likelihood multiplier for a particle at `pos` given that `detected_by`
-  // produced a reading this second.
-  double WeightOnDetection(const Deployment& deployment, const Point& pos,
-                           ReaderId detected_by) const;
-
-  // Batch form over precomputed particle positions (x[i], y[i]): multiplies
-  // weight[i] by the same per-particle likelihood (bit-identical range
-  // test) and returns how many particles are inside the detecting reader's
-  // range — 0 means the whole cloud contradicts the observation (the
-  // filter's re-seed trigger). One pass, branch-light: the reader's center
-  // and radius are hoisted out of the loop.
+  // Detection update over precomputed particle positions (x[i], y[i]),
+  // given that `detected_by` produced a reading this second: multiplies
+  // weight[i] by `hit_weight` when the particle is inside the reader's
+  // range (Reader::InRange's test, bit for bit) and by `miss_weight`
+  // otherwise, and returns how many particles are inside — 0 means the
+  // whole cloud contradicts the observation (the filter's re-seed
+  // trigger). One pass, branch-light: the reader's center and radius are
+  // hoisted out of the loop.
   IPQS_KERNEL_NOINLINE size_t WeightOnDetection(const Deployment& deployment,
                                                 ReaderId detected_by, size_t n,
                                                 const double* x,
                                                 const double* y,
                                                 double* weight) const;
 
-  // Likelihood multiplier for a particle at `pos` given that NO reader
-  // produced a reading this second. Returns 1.0 unless negative
-  // information is enabled.
-  double WeightOnSilence(const Deployment& deployment, const Point& pos) const;
-
-  // Trust-masked form: `reader_trusted[id]` == 0 means reader `id`'s
-  // silence is uninformative (the reader is suspect/dead or produced no
-  // readings at all this second), so its zone contributes no discount.
-  // Passing nullptr trusts every reader and is bit-identical to the
-  // unmasked form.
-  double WeightOnSilence(const Deployment& deployment, const Point& pos,
-                         const uint8_t* reader_trusted) const;
-
-  // Batch form over precomputed positions: multiplies weight[i] by the
-  // silence likelihood (multiplying by the 1.0 case is an exact FP
-  // identity, so the loop is unconditional) and returns how many weights
-  // were scaled by a multiplier != 1.0 — 0 both when negative information
-  // is disabled and when no particle sits in a silent zone, i.e. exactly
-  // when the per-particle path would have left every weight untouched.
+  // Silence update over precomputed positions, given that NO reader
+  // produced a reading this second: multiplies weight[i] by
+  // `silent_zone_weight` when the particle is inside some reader's range
+  // and by 1.0 otherwise (an exact FP identity, so the loop is
+  // unconditional). Returns how many weights were scaled by a multiplier
+  // != 1.0 — 0 both when negative information is disabled and when no
+  // particle sits in a silent zone, i.e. exactly when every weight is
+  // left untouched.
   IPQS_KERNEL_NOINLINE size_t WeightOnSilence(const Deployment& deployment,
                                               size_t n, const double* x,
                                               const double* y,
                                               double* weight) const;
 
-  // Trust-masked batch form; nullptr `reader_trusted` delegates to the
-  // unmasked kernel (same codegen, bit-identical results). With a mask,
-  // untrusted readers are skipped in the coverage test so particles inside
-  // only their zones keep weight 1.0.
+  // Trust-masked form: `reader_trusted[id]` == 0 means reader `id`'s
+  // silence is uninformative (the reader is suspect/dead or produced no
+  // readings at all this second), so its zone contributes no discount and
+  // particles inside only untrusted zones keep weight 1.0. A nullptr
+  // `reader_trusted` trusts every reader and delegates to the unmasked
+  // kernel (same codegen, bit-identical results).
   IPQS_KERNEL_NOINLINE size_t WeightOnSilence(const Deployment& deployment,
                                               size_t n, const double* x,
                                               const double* y, double* weight,

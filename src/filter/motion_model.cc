@@ -31,7 +31,7 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
   slow.resize(n);
   // Pass 1 — branchless sweep over the flat arrays. A hallway particle
   // that will not reach its heading node this step advances in place; the
-  // arithmetic is exactly Step's first loop iteration (same expressions,
+  // arithmetic is exactly pass 2's first walk iteration (same expressions,
   // same order), and no randomness is consumed. Everything else (parked in
   // a room, or crossing a node) is deferred. The data-dependent decisions
   // compile to conditional moves — the crossing pattern is effectively
@@ -42,7 +42,7 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
   for (size_t i = 0; i < n; ++i) {
     const bool room = soa->in_room[i] != 0;
     const double remaining = soa->speed[i] * dt;
-    // Step's loop guard: remaining <= 1e-12 is a no-op step, no draws.
+    // Pass 2's loop guard: remaining <= 1e-12 is a no-op step, no draws.
     const bool moving = remaining > 1e-12;
     const EdgeId e = soa->edge[i];
     const double target =
@@ -56,12 +56,9 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
     num_slow += deferred ? 1 : 0;
   }
   slow.resize(num_slow);
-  // Pass 2 — scalar fallback over the deferred particles, in ascending
-  // index order. This is Step's logic verbatim on the flat arrays (same
-  // expressions, same order, same draws under the same conditions), so the
-  // rng sequence and every stored value stay byte-identical to running
-  // per-particle Step; only the Particle round-trip through Get/Set is
-  // gone. These are the only particles that draw from `rng`.
+  // Pass 2 — scalar walk over the deferred particles, in ascending index
+  // order. These are the only particles that draw from `rng`, so the draw
+  // sequence is a function of the particle set alone.
   for (const uint32_t i : slow) {
     EdgeId e = soa->edge[i];
     NodeId heading = soa->heading[i];
@@ -77,6 +74,8 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
       heading = edges.a[e] == room_node ? edges.b[e] : edges.a[e];
     }
     double remaining = soa->speed[i] * dt;
+    // Termination guard: each iteration either consumes distance or parks
+    // the particle; graphs with very short edges still converge fast.
     for (int guard = 0; remaining > 1e-12 && guard < 10000; ++guard) {
       IPQS_DCHECK(heading == edges.a[e] || heading == edges.b[e]);
       const double target = edges.a[e] == heading ? 0.0 : edges.length[e];
@@ -90,7 +89,9 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
       remaining -= dist_to_node;
       const NodeId node = heading;
       if (edges.node_is_room[node]) {
-        // Entered the room: park and start the dwell process.
+        // Entered the room: park and start the dwell process. The leftover
+        // movement budget is absorbed by the room (its interior is not
+        // spatially resolved beyond the stub).
         offset = target;
         soa->in_room[i] = 1;
         break;
@@ -103,20 +104,6 @@ void MotionModel::StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
     soa->edge[i] = e;
     soa->offset[i] = offset;
     soa->heading[i] = heading;
-  }
-}
-
-void MotionModel::Roughen(const WalkingGraph& graph, Particle* p,
-                          Rng& rng) const {
-  if (config_.position_jitter > 0.0 && !p->in_room) {
-    const Edge& e = graph.edge(p->loc.edge);
-    p->loc.offset =
-        std::clamp(p->loc.offset + rng.Gaussian(0.0, config_.position_jitter),
-                   0.0, e.length);
-  }
-  if (config_.speed_jitter > 0.0) {
-    p->speed = std::max(p->speed + rng.Gaussian(0.0, config_.speed_jitter),
-                        config_.min_speed);
   }
 }
 
@@ -140,16 +127,6 @@ void MotionModel::RoughenAll(const EdgeSoA& edges, ParticleSoA* soa,
                    config_.min_speed);
     }
   }
-}
-
-void MotionModel::WidenPosition(const WalkingGraph& graph, Particle* p,
-                                double sigma, Rng& rng) const {
-  if (sigma <= 0.0 || p->in_room) {
-    return;
-  }
-  const Edge& e = graph.edge(p->loc.edge);
-  p->loc.offset =
-      std::clamp(p->loc.offset + rng.Gaussian(0.0, sigma), 0.0, e.length);
 }
 
 void MotionModel::WidenPositionAll(const EdgeSoA& edges, ParticleSoA* soa,
@@ -234,54 +211,6 @@ EdgeId MotionModel::ChooseNextEdge(const WalkingGraph& graph, NodeId node,
   }
   return NthCandidate(graph, node, incoming, /*want_stub=*/false,
                       rng.UniformIndex(num_hallways));
-}
-
-void MotionModel::Step(const WalkingGraph& graph, Particle* p, double dt,
-                       Rng& rng) const {
-  IPQS_DCHECK(p->loc.edge != kInvalidId);
-
-  if (p->in_room) {
-    if (!rng.Bernoulli(config_.room_exit_probability)) {
-      return;  // Keeps dwelling this second.
-    }
-    // Walk back out: the particle sits at the room-center end of a stub.
-    p->in_room = false;
-    const Edge& e = graph.edge(p->loc.edge);
-    const NodeId room_node =
-        graph.node(e.a).kind == NodeKind::kRoomCenter ? e.a : e.b;
-    IPQS_DCHECK(graph.node(room_node).kind == NodeKind::kRoomCenter);
-    p->heading = graph.OtherEnd(e.id, room_node);
-  }
-
-  double remaining = p->speed * dt;
-  // Termination guard: each loop iteration either consumes distance or
-  // parks the particle; graphs with very short edges still converge fast.
-  for (int guard = 0; remaining > 1e-12 && guard < 10000; ++guard) {
-    const Edge& e = graph.edge(p->loc.edge);
-    IPQS_DCHECK(p->heading == e.a || p->heading == e.b);
-    const double target = graph.OffsetOfNode(e.id, p->heading);
-    const double dist_to_node = std::fabs(target - p->loc.offset);
-
-    if (remaining < dist_to_node) {
-      p->loc.offset += target > p->loc.offset ? remaining : -remaining;
-      return;
-    }
-
-    remaining -= dist_to_node;
-    const NodeId node = p->heading;
-    if (graph.node(node).kind == NodeKind::kRoomCenter) {
-      // Entered the room: park and start the dwell process. The leftover
-      // movement budget is absorbed by the room (its interior is not
-      // spatially resolved beyond the stub).
-      p->loc.offset = target;
-      p->in_room = true;
-      return;
-    }
-    const EdgeId next = ChooseNextEdge(graph, node, e.id, rng);
-    p->loc.edge = next;
-    p->loc.offset = graph.OffsetOfNode(next, node);
-    p->heading = graph.OtherEnd(next, node);
-  }
 }
 
 }  // namespace ipqs

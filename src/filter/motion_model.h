@@ -2,7 +2,6 @@
 #define IPQS_FILTER_MOTION_MODEL_H_
 
 #include "common/rng.h"
-#include "filter/particle.h"
 #include "filter/particle_soa.h"
 #include "graph/walking_graph.h"
 
@@ -33,9 +32,10 @@ struct MotionConfig {
   double speed_jitter = 0.05;    // Meters/second.
 };
 
-// Advances particles along the walking graph. The model never teleports:
-// a particle covers exactly `speed * dt` meters of graph distance per step,
-// spilling across nodes and re-deciding direction at each one.
+// Advances particle sets along the walking graph. The model never
+// teleports: a particle covers exactly `speed * dt` meters of graph
+// distance per step, spilling across nodes and re-deciding direction at
+// each one.
 class MotionModel {
  public:
   MotionModel() : MotionModel(MotionConfig{}) {}
@@ -46,46 +46,38 @@ class MotionModel {
   // Draws a walking speed (truncated Gaussian).
   double SampleSpeed(Rng& rng) const;
 
-  // Advances `p` by `dt` seconds on `graph`. Room dwell semantics: a
-  // particle parked in a room consumes the whole step either staying put
+  // Advances every particle of `soa` by `dt` seconds on `graph`. A
+  // hallway particle covers exactly `speed * dt` meters of graph distance,
+  // spilling across nodes and re-deciding direction at each one; a
+  // particle that reaches a room center parks there. Room dwell semantics:
+  // a parked particle consumes the whole step either staying put
   // (probability 1 - room_exit_probability) or walking back out.
-  void Step(const WalkingGraph& graph, Particle* p, double dt, Rng& rng) const;
-
-  // Batch predict over a structure-of-arrays particle set; byte-identical
-  // to calling Step on each particle in ascending index order. Split into
-  // two passes: a branch-light vectorizable sweep advances every particle
-  // that stays mid-edge this step (the common case — consumes no
-  // randomness), then the stragglers (parked in a room, or reaching a
-  // node) run the full scalar Step in ascending index order, drawing from
-  // `rng` in exactly the order the per-particle loop did. `edges` must
-  // mirror `graph` (EdgeSoA::FromGraph); `arena` supplies scratch.
+  //
+  // Two passes: a branch-light vectorizable sweep advances every particle
+  // that stays mid-edge this step (the common case; consumes no
+  // randomness), then the rest (parked in a room, or reaching a node) run
+  // a scalar walk in ascending index order, so draws from `rng` follow a
+  // fixed order. `edges` must mirror `graph` (EdgeSoA::FromGraph); `arena`
+  // supplies scratch.
   void StepAll(const WalkingGraph& graph, const EdgeSoA& edges,
                ParticleSoA* soa, FilterArena* arena, double dt,
                Rng& rng) const;
 
-  // Post-resampling roughening: perturbs the particle's position along its
-  // current edge (clamped to the edge) and its speed, so replicated
-  // particles explore slightly different futures.
-  void Roughen(const WalkingGraph& graph, Particle* p, Rng& rng) const;
-
-  // Batch roughening; byte-identical to per-particle Roughen in ascending
-  // index order. The two jitter draws interleave per particle, so this
-  // stays a scalar loop — the win over the AoS path is the preloaded edge
-  // lengths (no bounds-checked graph accessor per particle).
+  // Post-resampling roughening: perturbs each hallway particle's position
+  // along its current edge (clamped to the edge), then every particle's
+  // speed, so replicated particles explore slightly different futures.
+  // The two jitter draws interleave per particle in ascending index order,
+  // so this stays a scalar loop over preloaded edge lengths.
   void RoughenAll(const EdgeSoA& edges, ParticleSoA* soa, Rng& rng) const;
 
   // Gap widening (fault tolerance): extra Gaussian positional diffusion of
-  // `sigma` meters along the particle's current edge, applied while the
-  // filter coasts across a reading gap so the cloud's spread reflects the
-  // growing uncertainty instead of staying overconfident. Parked (in-room)
-  // particles are left alone — dwelling is already the likeliest
-  // explanation for silence.
-  void WidenPosition(const WalkingGraph& graph, Particle* p, double sigma,
-                     Rng& rng) const;
-
-  // Batch gap widening; byte-identical to per-particle WidenPosition in
-  // ascending index order. Only hallway particles draw, so the Gaussians
-  // are batched over the non-parked subset and applied in index order.
+  // `sigma` meters along each particle's current edge (clamped), applied
+  // while the filter coasts across a reading gap so the cloud's spread
+  // reflects the growing uncertainty instead of staying overconfident.
+  // Parked (in-room) particles are left alone — dwelling is already the
+  // likeliest explanation for silence — and draw nothing: the Gaussians
+  // are batched over the hallway subset and applied in index order.
+  // sigma <= 0 is a no-op.
   void WidenPositionAll(const EdgeSoA& edges, ParticleSoA* soa,
                         FilterArena* arena, double sigma, Rng& rng) const;
 

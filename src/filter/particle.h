@@ -1,16 +1,15 @@
 #ifndef IPQS_FILTER_PARTICLE_H_
 #define IPQS_FILTER_PARTICLE_H_
 
-#include <string>
-#include <vector>
-
 #include "graph/walking_graph.h"
 
 namespace ipqs {
 
 // One hypothesis of an object's state: a position on the walking graph, a
 // heading (the edge endpoint the particle is walking toward), a walking
-// speed, and an importance weight.
+// speed, and an importance weight. The filter stores particle sets as a
+// ParticleSoA (particle_soa.h); this struct is only the by-value element
+// of ParticleSoA::Get/Set.
 struct Particle {
   GraphLocation loc;
   NodeId heading = kInvalidId;  // One of loc.edge's endpoints.
@@ -20,20 +19,8 @@ struct Particle {
   // stub edge, waiting for the exit coin flip).
   bool in_room = false;
 
-  std::string ToString() const;
-
   friend bool operator==(const Particle&, const Particle&) = default;
 };
-
-// Sum of weights; 0 for an empty set.
-double TotalWeight(const std::vector<Particle>& particles);
-
-// Scales weights so they sum to 1. Precondition: total weight > 0.
-void NormalizeWeights(std::vector<Particle>* particles);
-
-// Effective sample size 1 / sum(w_i^2) of a normalized particle set; a
-// standard degeneracy diagnostic (Ns when uniform, 1 when degenerate).
-double EffectiveSampleSize(const std::vector<Particle>& particles);
 
 }  // namespace ipqs
 

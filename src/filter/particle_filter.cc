@@ -1,8 +1,7 @@
 #include "filter/particle_filter.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
+#include <iterator>
 
 #include "common/check.h"
 #include "filter/resampler.h"
@@ -24,27 +23,27 @@ ParticleFilter::ParticleFilter(const WalkingGraph* graph,
   edges_soa_ = EdgeSoA::FromGraph(*graph);
 }
 
-std::vector<Particle> ParticleFilter::InitializeAtReader(ReaderId reader,
-                                                         Rng& rng) const {
+ParticleSoA ParticleFilter::InitializeAtReader(ReaderId reader,
+                                               Rng& rng) const {
   const Reader& r = deployment_->reader(reader);
   const std::vector<EdgeInterval> intervals =
       EdgeIntervalsInRange(*graph_, r);
 
-  std::vector<Particle> particles;
-  particles.reserve(config_.num_particles);
-  const double w = 1.0 / config_.num_particles;
+  const size_t n = static_cast<size_t>(config_.num_particles);
+  ParticleSoA particles;
+  particles.Resize(n);
+  std::fill(particles.weight.begin(), particles.weight.end(),
+            1.0 / config_.num_particles);
 
   if (intervals.empty()) {
     // Pathological range (smaller than the snap error): park everything at
     // the reader's own graph location.
-    for (int i = 0; i < config_.num_particles; ++i) {
-      Particle p;
-      p.loc = r.loc;
-      const Edge& e = graph_->edge(r.loc.edge);
-      p.heading = rng.Bernoulli(0.5) ? e.a : e.b;
-      p.speed = motion_.SampleSpeed(rng);
-      p.weight = w;
-      particles.push_back(p);
+    const Edge& e = graph_->edge(r.loc.edge);
+    for (size_t i = 0; i < n; ++i) {
+      particles.edge[i] = r.loc.edge;
+      particles.offset[i] = r.loc.offset;
+      particles.heading[i] = rng.Bernoulli(0.5) ? e.a : e.b;
+      particles.speed[i] = motion_.SampleSpeed(rng);
     }
     return particles;
   }
@@ -55,49 +54,47 @@ std::vector<Particle> ParticleFilter::InitializeAtReader(ReaderId reader,
     lengths.push_back(iv.Length());
   }
 
-  for (int i = 0; i < config_.num_particles; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const EdgeInterval& iv = intervals[rng.Categorical(lengths)];
     const Edge& e = graph_->edge(iv.edge);
-    Particle p;
-    p.loc = GraphLocation{iv.edge, rng.Uniform(iv.lo, iv.hi)};
-    p.heading = rng.Bernoulli(0.5) ? e.a : e.b;
-    p.speed = motion_.SampleSpeed(rng);
-    p.weight = w;
-    particles.push_back(p);
+    particles.edge[i] = iv.edge;
+    particles.offset[i] = rng.Uniform(iv.lo, iv.hi);
+    particles.heading[i] = rng.Bernoulli(0.5) ? e.a : e.b;
+    particles.speed[i] = motion_.SampleSpeed(rng);
   }
   return particles;
 }
 
-void ParticleFilter::Advance(std::vector<Particle>* particles,
+void ParticleFilter::Advance(ParticleSoA* particles,
                              const DataCollector::ObjectHistory& history,
                              int64_t from_time, int64_t to_time, int* seconds,
                              Rng& rng) const {
-  std::unordered_map<int64_t, ReaderId> reading_at;
-  reading_at.reserve(history.entries.size());
+  // Readings cursor. Entries are ascending by time (the ObjectHistory
+  // contract), so one pass serves the whole call: `next` starts at the
+  // first entry past from_time and the loop below consumes the entries of
+  // each second as it reaches it.
+  const std::vector<AggregatedEntry>& entries = history.entries;
+  IPQS_DCHECK(std::is_sorted(
+      entries.begin(), entries.end(),
+      [](const AggregatedEntry& a, const AggregatedEntry& b) {
+        return a.time < b.time;
+      }));
+  auto next = std::upper_bound(
+      entries.begin(), entries.end(), from_time,
+      [](int64_t t, const AggregatedEntry& e) { return t < e.time; });
   // The newest observation at or before from_time anchors the gap clock;
   // computed from the history (not from from_time) so a cache Resume sees
   // the same gap a full Run would.
-  int64_t last_obs = std::numeric_limits<int64_t>::min();
-  for (const AggregatedEntry& e : history.entries) {
-    reading_at[e.time] = e.reader;
-    if (e.time <= from_time) {
-      last_obs = std::max(last_obs, e.time);
-    }
-  }
-  if (last_obs == std::numeric_limits<int64_t>::min()) {
-    last_obs = from_time;
-  }
+  int64_t last_obs =
+      next == entries.begin() ? from_time : std::prev(next)->time;
 
-  // The per-second stages run on the structure-of-arrays layout; AoS is
-  // only the interchange format at the boundaries (cache, persistence,
-  // anchor projection, re-seeding). One conversion pair per Advance call,
-  // amortized over all simulated seconds. The buffers are thread_local so
-  // the hot loop allocates nothing after warm-up; safe because Advance is
-  // non-reentrant and all randomness flows through the explicit `rng`.
-  thread_local ParticleSoA soa;
+  // The stages work in place on the caller's arrays. The scratch buffers
+  // are thread_local so the hot loop allocates nothing after warm-up; safe
+  // because Advance is non-reentrant and all randomness flows through the
+  // explicit `rng`.
   thread_local FilterArena arena;
   thread_local std::vector<uint8_t> trust_mask;
-  soa.AssignFrom(*particles);
+  ParticleSoA& soa = *particles;
   const EdgeSoA& edges = edges_soa_;
 
   for (int64_t tj = from_time + 1; tj <= to_time; ++tj) {
@@ -125,17 +122,23 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
                                config_.gap_position_jitter, rng);
     }
 
-    // Update: reweight against the observation of second tj, if any.
-    const auto it = reading_at.find(tj);
+    // Update: reweight against the observation of second tj, if any. When
+    // several entries share the second (two devices reporting within it),
+    // the later one decides.
+    const auto first_at_tj = next;
+    while (next != entries.end() && next->time == tj) {
+      ++next;
+    }
     bool reweighted = false;
-    if (it != reading_at.end()) {
+    if (next != first_at_tj) {
+      const ReaderId detected = std::prev(next)->reader;
       last_obs = tj;
       const size_t n = soa.size();
       arena.x.resize(n);
       arena.y.resize(n);
       ComputePositions(edges, soa, arena.x.data(), arena.y.data());
       const size_t consistent = measurement_.WeightOnDetection(
-          *deployment_, it->second, n, arena.x.data(), arena.y.data(),
+          *deployment_, detected, n, arena.x.data(), arena.y.data(),
           soa.weight.data());
       if (consistent == 0) {
         // The whole cloud contradicts a trustworthy observation (sample
@@ -143,7 +146,7 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
         // finds very unlikely). Re-seed at the detecting reader — exactly
         // the Algorithm 2 initialization, applied mid-stream. (The
         // scaled weights are discarded with the rest of the old cloud.)
-        soa.AssignFrom(InitializeAtReader(it->second, rng));
+        soa = InitializeAtReader(detected, rng);
         if (metrics_.reseeds != nullptr) {
           metrics_.reseeds->Increment();
         }
@@ -212,8 +215,6 @@ void ParticleFilter::Advance(std::vector<Particle>* particles,
       }
     }
   }
-
-  soa.CopyTo(particles);
 }
 
 FilterResult ParticleFilter::Run(const DataCollector::ObjectHistory& history,

@@ -8,7 +8,6 @@
 #include "filter/anchor_distribution.h"
 #include "filter/measurement_model.h"
 #include "filter/motion_model.h"
-#include "filter/particle.h"
 #include "filter/particle_soa.h"
 #include "filter/resampler.h"
 #include "graph/anchor_points.h"
@@ -86,7 +85,7 @@ struct FilterConfig {
 
 // The state a filter run ends in; cacheable and resumable.
 struct FilterResult {
-  std::vector<Particle> particles;
+  ParticleSoA particles;
   int64_t time = 0;          // Simulation second the particles represent.
   int seconds_processed = 0; // Motion steps executed (work metric).
 
@@ -122,7 +121,7 @@ class ParticleFilter {
   // Particles uniformly distributed over the graph stretches inside
   // `reader`'s activation range, each with its own random direction and
   // Gaussian speed.
-  std::vector<Particle> InitializeAtReader(ReaderId reader, Rng& rng) const;
+  ParticleSoA InitializeAtReader(ReaderId reader, Rng& rng) const;
 
   // Full Algorithm 2 run for one object: from its first retained reading to
   // min(last reading + max_coast_seconds, now).
@@ -141,9 +140,10 @@ class ParticleFilter {
                            int64_t now, Rng& rng) const;
 
  private:
-  // Advances particles from `from_time` (exclusive) to `to_time`
-  // (inclusive), applying reweight/resample at seconds with readings.
-  void Advance(std::vector<Particle>* particles,
+  // Advances `particles` in place from `from_time` (exclusive) to
+  // `to_time` (inclusive), applying reweight/resample at seconds with
+  // readings.
+  void Advance(ParticleSoA* particles,
                const DataCollector::ObjectHistory& history, int64_t from_time,
                int64_t to_time, int* seconds, Rng& rng) const;
 

@@ -9,19 +9,15 @@
 
 namespace ipqs {
 
-// Structure-of-arrays particle state: the same hypothesis set as a
-// std::vector<Particle>, with each field in its own contiguous buffer so
-// the filter's per-second stages (predict, weight, resample) stream over
-// flat arrays instead of striding through 48-byte structs. The AoS
-// Particle remains the interchange format — the cache, the persistence
-// layer, and anchor projection all keep consuming std::vector<Particle> —
-// and the conversions below are the only bridge between the two layouts.
+// An object's particle set, the filter's one particle representation:
+// each field in its own contiguous buffer, so the per-second stages
+// (predict, weight, resample) stream over flat arrays instead of striding
+// through structs. The filter advances it in place; the particle cache,
+// snapshots and anchor snapping read the same arrays. There is no other
+// layout to convert to.
 //
-// Determinism contract: conversions are field copies (no arithmetic), so
-// AoS -> SoA -> AoS round-trips bit-exactly, and every reduction over a
-// ParticleSoA (TotalWeight, NormalizeWeights, EffectiveSampleSize) sums in
-// ascending index order — the same fixed order as the AoS versions in
-// particle.h, so both layouts produce byte-identical results.
+// Determinism contract: every reduction over a ParticleSoA (TotalWeight,
+// NormalizeWeights, EffectiveSampleSize) sums in ascending index order.
 struct ParticleSoA {
   std::vector<EdgeId> edge;
   std::vector<double> offset;
@@ -35,14 +31,12 @@ struct ParticleSoA {
   size_t size() const { return edge.size(); }
   bool empty() const { return edge.empty(); }
   void Resize(size_t n);
-  void Clear();
 
-  void AssignFrom(const std::vector<Particle>& particles);
-  void CopyTo(std::vector<Particle>* particles) const;
-  std::vector<Particle> ToParticles() const;
-
+  // Field copies of particle i (tests and small fixtures).
   Particle Get(size_t i) const;
   void Set(size_t i, const Particle& p);
+
+  friend bool operator==(const ParticleSoA&, const ParticleSoA&) = default;
 };
 
 // Sum of weights in ascending index order; 0 for an empty set.
@@ -52,7 +46,8 @@ double TotalWeight(const ParticleSoA& soa);
 void NormalizeWeights(ParticleSoA* soa);
 
 // Effective sample size 1 / sum(w_i^2) of a normalized set (fixed
-// summation order), matching EffectiveSampleSize(std::vector<Particle>).
+// summation order); a standard degeneracy diagnostic (Ns when uniform, 1
+// when degenerate).
 double EffectiveSampleSize(const ParticleSoA& soa);
 
 // Flat per-edge mirror of the WalkingGraph fields the particle kernels

@@ -245,36 +245,4 @@ void Resample(ResamplingScheme scheme, ParticleSoA* soa, FilterArena* arena,
   IPQS_CHECK(false) << "unknown resampling scheme";
 }
 
-namespace {
-
-// Per-thread bridge state for the AoS wrappers, so external callers get
-// the allocation-free kernels without owning an arena.
-struct AosBridge {
-  ParticleSoA soa;
-  FilterArena arena;
-};
-
-AosBridge& Bridge() {
-  thread_local AosBridge bridge;
-  return bridge;
-}
-
-}  // namespace
-
-void Resample(ResamplingScheme scheme, std::vector<Particle>* particles,
-              Rng& rng) {
-  IPQS_CHECK(!particles->empty());
-  // Historical contract: arbitrary positive weights in, so normalize here
-  // (exactly once) before entering the pre-normalized SoA kernels.
-  NormalizeWeights(particles);
-  AosBridge& b = Bridge();
-  b.soa.AssignFrom(*particles);
-  Resample(scheme, &b.soa, &b.arena, rng);
-  b.soa.CopyTo(particles);
-}
-
-void SystematicResample(std::vector<Particle>* particles, Rng& rng) {
-  Resample(ResamplingScheme::kSystematic, particles, rng);
-}
-
 }  // namespace ipqs

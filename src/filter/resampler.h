@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "filter/particle.h"
 #include "filter/particle_soa.h"
 
 namespace ipqs {
@@ -24,20 +23,22 @@ enum class ResamplingScheme {
 
 std::string ToString(ResamplingScheme scheme);
 
-// SoA kernels — the filter's hot path. Contract, shared by all schemes:
+// Resampling kernels. Contract, shared by all schemes:
 //
 //  * Weights must be pre-normalized (sum to 1 in ascending index order, as
 //    NormalizeWeights produces; checked with IPQS_DCHECK, never silently
 //    re-normalized — the filter normalizes exactly once per reweight, and
 //    double normalization was both wasted work and an ulp-level answer
-//    perturbation).
+//    perturbation). A caller holding arbitrary positive weights calls
+//    NormalizeWeights first.
 //  * The set is replaced by exactly `size()` survivors with uniform
 //    weights 1/Ns, selected via an inclusive prefix-sum CDF and a single
 //    monotone cursor pass over sorted quantiles.
 //  * `arena` supplies every buffer (CDF, quantiles, selection indices, the
 //    output double-buffer); nothing is allocated after arena warm-up.
-//  * Draw order is identical to the historical AoS implementation: the
-//    kernels consume exactly the same Rng sequence.
+//  * Draw order is fixed per scheme: systematic draws one uniform,
+//    stratified and multinomial draw one per particle (Uniform01Batch),
+//    residual one categorical draw per remainder slot.
 void Resample(ResamplingScheme scheme, ParticleSoA* soa, FilterArena* arena,
               Rng& rng);
 void SystematicResample(ParticleSoA* soa, FilterArena* arena, Rng& rng);
@@ -53,17 +54,6 @@ void SystematicResample(ParticleSoA* soa, FilterArena* arena, Rng& rng);
 void SelectIndicesAtQuantiles(const std::vector<double>& cdf,
                               const std::vector<double>& quantiles,
                               uint32_t* sel);
-
-// AoS convenience wrappers (tests, benches, library users). Unlike the
-// SoA kernels these DO normalize first — the historical contract: callers
-// may pass arbitrary positive weights. A call on already-normalized
-// weights performs the same (numerically near-identity) extra division the
-// historical implementation did, so existing pinned sequences reproduce.
-//
-// Precondition: at least one particle with positive weight.
-void SystematicResample(std::vector<Particle>* particles, Rng& rng);
-void Resample(ResamplingScheme scheme, std::vector<Particle>* particles,
-              Rng& rng);
 
 }  // namespace ipqs
 

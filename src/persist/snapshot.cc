@@ -22,6 +22,11 @@ void PutEntries(BufferWriter& w, const std::vector<AggregatedEntry>& entries) {
   }
 }
 
+// Reads a count-prefixed entry list. Rejects a list that goes back in
+// time: every reader of a restored history (the filter's readings cursor,
+// the particle cache's stale-coast check, HistoryStore::SnapshotAt)
+// binary-searches or walks it in time order. Equal times from different
+// readers are valid.
 bool GetEntries(BufferReader& r, std::vector<AggregatedEntry>* entries) {
   const uint32_t n = r.GetU32();
   // Guard against a corrupt count asking for more entries than the buffer
@@ -30,9 +35,13 @@ bool GetEntries(BufferReader& r, std::vector<AggregatedEntry>* entries) {
     return false;
   }
   entries->resize(n);
-  for (AggregatedEntry& e : *entries) {
+  for (size_t i = 0; i < entries->size(); ++i) {
+    AggregatedEntry& e = (*entries)[i];
     e.time = r.GetI64();
     e.reader = r.GetI32();
+    if (i > 0 && e.time < (*entries)[i - 1].time) {
+      return false;
+    }
   }
   return r.ok();
 }
@@ -51,17 +60,20 @@ RawReading GetReading(BufferReader& r) {
   return reading;
 }
 
+// Particle-major: each particle's six fields in turn, read from and
+// written to the state's arrays.
 void PutFilterResult(BufferWriter& w, const FilterResult& state) {
+  const ParticleSoA& p = state.particles;
   w.PutI64(state.time);
   w.PutI32(state.seconds_processed);
-  w.PutU32(static_cast<uint32_t>(state.particles.size()));
-  for (const Particle& p : state.particles) {
-    w.PutI32(p.loc.edge);
-    w.PutDouble(p.loc.offset);
-    w.PutI32(p.heading);
-    w.PutDouble(p.speed);
-    w.PutDouble(p.weight);
-    w.PutBool(p.in_room);
+  w.PutU32(static_cast<uint32_t>(p.size()));
+  for (size_t i = 0; i < p.size(); ++i) {
+    w.PutI32(p.edge[i]);
+    w.PutDouble(p.offset[i]);
+    w.PutI32(p.heading[i]);
+    w.PutDouble(p.speed[i]);
+    w.PutDouble(p.weight[i]);
+    w.PutBool(p.in_room[i] != 0);
   }
 }
 
@@ -72,14 +84,15 @@ bool GetFilterResult(BufferReader& r, FilterResult* state) {
   if (!r.ok() || static_cast<uint64_t>(n) * 33 > r.remaining()) {
     return false;
   }
-  state->particles.resize(n);
-  for (Particle& p : state->particles) {
-    p.loc.edge = r.GetI32();
-    p.loc.offset = r.GetDouble();
-    p.heading = r.GetI32();
-    p.speed = r.GetDouble();
-    p.weight = r.GetDouble();
-    p.in_room = r.GetBool();
+  ParticleSoA& p = state->particles;
+  p.Resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    p.edge[i] = r.GetI32();
+    p.offset[i] = r.GetDouble();
+    p.heading[i] = r.GetI32();
+    p.speed[i] = r.GetDouble();
+    p.weight[i] = r.GetDouble();
+    p.in_room[i] = r.GetBool() ? 1 : 0;
   }
   return r.ok();
 }

@@ -57,8 +57,10 @@ class SnapshotReader {
  public:
   // Loads and validates a snapshot file. Any defect — missing file, short
   // header, wrong magic, unknown version, truncated payload, checksum
-  // mismatch, malformed payload — comes back as a Status error; this
-  // function never aborts, so recovery can skip to an older snapshot.
+  // mismatch, malformed payload (including a collector history or
+  // history-store log that goes back in time) — comes back as a Status
+  // error; this function never aborts, so recovery can skip to an older
+  // snapshot.
   static StatusOr<SnapshotData> Read(const std::string& path);
 
   static StatusOr<SnapshotData> Parse(std::string_view bytes);

@@ -521,9 +521,9 @@ TEST(StaleCutoff, FilterNeverCoastsPastMaxCoastSeconds) {
                 sim->config().filter.max_coast_seconds);
 }
 
-// Gap widening (FilterConfig::gap_position_jitter): WidenPosition diffuses
-// hallway particles along their edge (clamped), leaves parked particles
-// alone, and stays off by default.
+// Gap widening (FilterConfig::gap_position_jitter): WidenPositionAll
+// diffuses hallway particles along their edge (clamped), leaves parked
+// particles alone, and stays off by default.
 TEST(GapWidening, WidenPositionDiffusesHallwayParticlesOnly) {
   SimulationConfig config;
   config.trace.num_objects = 5;
@@ -544,31 +544,37 @@ TEST(GapWidening, WidenPositionDiffusesHallwayParticlesOnly) {
   const double length = sim->graph().edge(hallway).length;
 
   const MotionModel motion(sim->config().filter.motion);
+  const EdgeSoA edges = EdgeSoA::FromGraph(sim->graph());
+  FilterArena arena;
   Rng rng(5);
-  std::vector<Particle> cloud(64);
-  for (Particle& p : cloud) {
-    p.loc = GraphLocation{hallway, length / 2};
-    motion.WidenPosition(sim->graph(), &p, 0.8, rng);
-    EXPECT_GE(p.loc.offset, 0.0);
-    EXPECT_LE(p.loc.offset, length);
-  }
+  ParticleSoA cloud;
+  cloud.Resize(64);
+  std::fill(cloud.edge.begin(), cloud.edge.end(), hallway);
+  std::fill(cloud.offset.begin(), cloud.offset.end(), length / 2);
+  motion.WidenPositionAll(edges, &cloud, &arena, 0.8, rng);
   double var = 0.0;
-  for (const Particle& p : cloud) {
-    const double d = p.loc.offset - length / 2;
+  for (const double offset : cloud.offset) {
+    EXPECT_GE(offset, 0.0);
+    EXPECT_LE(offset, length);
+    const double d = offset - length / 2;
     var += d * d;
   }
   EXPECT_GT(var / cloud.size(), 0.0);  // The cloud actually spread.
 
   // Parked particles and sigma=0 are no-ops.
-  Particle parked;
-  parked.loc = GraphLocation{hallway, 1.0};
-  parked.in_room = true;
-  motion.WidenPosition(sim->graph(), &parked, 0.8, rng);
-  EXPECT_EQ(parked.loc.offset, 1.0);
-  Particle frozen;
-  frozen.loc = GraphLocation{hallway, 1.0};
-  motion.WidenPosition(sim->graph(), &frozen, 0.0, rng);
-  EXPECT_EQ(frozen.loc.offset, 1.0);
+  ParticleSoA parked;
+  parked.Resize(1);
+  parked.edge[0] = hallway;
+  parked.offset[0] = 1.0;
+  parked.in_room[0] = 1;
+  motion.WidenPositionAll(edges, &parked, &arena, 0.8, rng);
+  EXPECT_EQ(parked.offset[0], 1.0);
+  ParticleSoA frozen;
+  frozen.Resize(1);
+  frozen.edge[0] = hallway;
+  frozen.offset[0] = 1.0;
+  motion.WidenPositionAll(edges, &frozen, &arena, 0.0, rng);
+  EXPECT_EQ(frozen.offset[0], 1.0);
 }
 
 // With the jitter armed, a long-gap filter run still completes and yields

@@ -11,13 +11,13 @@
 #include "filter/anchor_distribution.h"
 #include "filter/measurement_model.h"
 #include "filter/motion_model.h"
-#include "filter/particle.h"
 #include "filter/particle_cache.h"
 #include "filter/particle_soa.h"
 #include "filter/particle_filter.h"
 #include "filter/resampler.h"
 #include "floorplan/office_generator.h"
 #include "graph/graph_builder.h"
+#include "particle_sets.h"
 
 namespace ipqs {
 namespace {
@@ -30,68 +30,70 @@ class FilterFixture : public ::testing::Test {
     anchors_ = std::make_unique<AnchorPointIndex>(
         AnchorPointIndex::Build(graph_, plan_, 1.0));
     deployment_ = Deployment::UniformOnHallways(plan_, graph_, 19, 2.0).value();
+    edges_ = EdgeSoA::FromGraph(graph_);
+  }
+
+  // Advances one particle by one second through the batch motion kernel
+  // (a batch of one).
+  Particle StepOne(const MotionModel& model, const Particle& p, Rng& rng) {
+    ParticleSoA soa;
+    soa.Resize(1);
+    soa.Set(0, p);
+    FilterArena arena;
+    model.StepAll(graph_, edges_, &soa, &arena, 1.0, rng);
+    return soa.Get(0);
   }
 
   FloorPlan plan_;
   WalkingGraph graph_;
   std::unique_ptr<AnchorPointIndex> anchors_;
   Deployment deployment_;
+  EdgeSoA edges_;
 };
 
-std::vector<Particle> MakeParticles(const std::vector<double>& weights) {
-  std::vector<Particle> out;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    Particle p;
-    p.loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
-    p.weight = weights[i];
-    out.push_back(p);
-  }
-  return out;
-}
-
 TEST(ParticleTest, TotalWeightAndNormalize) {
-  auto particles = MakeParticles({1.0, 3.0});
+  auto particles = TaggedParticles({1.0, 3.0});
   EXPECT_DOUBLE_EQ(TotalWeight(particles), 4.0);
   NormalizeWeights(&particles);
-  EXPECT_DOUBLE_EQ(particles[0].weight, 0.25);
-  EXPECT_DOUBLE_EQ(particles[1].weight, 0.75);
+  EXPECT_DOUBLE_EQ(particles.weight[0], 0.25);
+  EXPECT_DOUBLE_EQ(particles.weight[1], 0.75);
   EXPECT_DOUBLE_EQ(TotalWeight(particles), 1.0);
 }
 
 TEST(ParticleTest, EffectiveSampleSize) {
-  auto uniform = MakeParticles({0.25, 0.25, 0.25, 0.25});
+  const auto uniform = TaggedParticles({0.25, 0.25, 0.25, 0.25});
   EXPECT_NEAR(EffectiveSampleSize(uniform), 4.0, 1e-12);
-  auto degenerate = MakeParticles({1.0, 0.0, 0.0, 0.0});
+  const auto degenerate = TaggedParticles({1.0, 0.0, 0.0, 0.0});
   EXPECT_NEAR(EffectiveSampleSize(degenerate), 1.0, 1e-12);
 }
 
 TEST(ResamplerTest, PreservesCountAndUniformWeights) {
   Rng rng(1);
-  auto particles = MakeParticles({0.1, 0.9, 0.5, 0.01});
-  SystematicResample(&particles, rng);
+  auto particles = TaggedParticles({0.1, 0.9, 0.5, 0.01});
+  NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
   ASSERT_EQ(particles.size(), 4u);
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 0.25);
+  for (const double w : particles.weight) {
+    EXPECT_DOUBLE_EQ(w, 0.25);
   }
 }
 
 TEST(ResamplerTest, DropsZeroWeightParticles) {
   Rng rng(2);
   // Particle on edge 3 has zero weight; it must never survive.
-  auto particles = MakeParticles({1.0, 1.0, 1.0, 0.0});
-  SystematicResample(&particles, rng);
-  for (const Particle& p : particles) {
-    EXPECT_NE(p.loc.edge, 3);
+  auto particles = TaggedParticles({1.0, 1.0, 1.0, 0.0});
+  NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
+  for (const EdgeId e : particles.edge) {
+    EXPECT_NE(e, 3);
   }
 }
 
 TEST(ResamplerTest, ReplicatesDominantParticle) {
   Rng rng(3);
-  auto particles = MakeParticles({0.0001, 0.0001, 1000.0, 0.0001});
-  SystematicResample(&particles, rng);
+  auto particles = TaggedParticles({0.0001, 0.0001, 1000.0, 0.0001});
+  NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
   int dominant = 0;
-  for (const Particle& p : particles) {
-    dominant += p.loc.edge == 2;
+  for (const EdgeId e : particles.edge) {
+    dominant += e == 2;
   }
   EXPECT_GE(dominant, 3);
 }
@@ -102,10 +104,10 @@ TEST(ResamplerTest, ProportionalSurvival) {
   int edge1 = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    auto particles = MakeParticles({1.0, 3.0});
-    SystematicResample(&particles, rng);
-    for (const Particle& p : particles) {
-      edge1 += p.loc.edge == 1;
+    auto particles = TaggedParticles({1.0, 3.0});
+    NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
+    for (const EdgeId e : particles.edge) {
+      edge1 += e == 1;
     }
   }
   EXPECT_NEAR(edge1 / (2.0 * trials), 0.75, 0.02);
@@ -129,35 +131,34 @@ TEST(ResamplerTest, SelectIndicesClampToLastParticleOnAdversarialCdf) {
 }
 
 TEST(ResamplerTest, SoAKernelConsumesPreNormalizedWeightsUnchanged) {
-  // The SoA kernels take pre-normalized weights and must not renormalize;
-  // the AoS wrapper normalizes exactly once on entry. Feeding the kernel
-  // hand-normalized weights and the wrapper the same weights scaled by 8
-  // (all powers of two, so the wrapper's division is bit-exact) must pick
-  // identical survivors from identical draws under every scheme.
+  // The kernels take pre-normalized weights and must not renormalize.
+  // Feeding a kernel hand-normalized weights, and the same weights scaled
+  // by 8 through NormalizeWeights first (all powers of two, so that
+  // division is bit-exact), must pick identical survivors from identical
+  // draws under every scheme.
   for (const ResamplingScheme scheme :
        {ResamplingScheme::kSystematic, ResamplingScheme::kStratified,
         ResamplingScheme::kMultinomial, ResamplingScheme::kResidual}) {
-    ParticleSoA soa;
-    soa.AssignFrom(MakeParticles({0.25, 0.5, 0.125, 0.125}));
+    ParticleSoA soa = TaggedParticles({0.25, 0.5, 0.125, 0.125});
     FilterArena arena;
     Rng rng_soa(77);
     Resample(scheme, &soa, &arena, rng_soa);
 
-    auto scaled = MakeParticles({2.0, 4.0, 1.0, 1.0});
-    Rng rng_aos(77);
-    Resample(scheme, &scaled, rng_aos);
+    ParticleSoA scaled = TaggedParticles({2.0, 4.0, 1.0, 1.0});
+    Rng rng_scaled(77);
+    NormalizeAndResample(scheme, &scaled, rng_scaled);
 
-    EXPECT_EQ(soa.ToParticles(), scaled) << ToString(scheme);
-    for (const Particle& p : scaled) {
-      EXPECT_DOUBLE_EQ(p.weight, 0.25) << ToString(scheme);
+    EXPECT_EQ(soa, scaled) << ToString(scheme);
+    for (const double w : scaled.weight) {
+      EXPECT_DOUBLE_EQ(w, 0.25) << ToString(scheme);
     }
   }
 }
 
 TEST(ParticleSoATest, RoundTripAndReductionsAreBitExact) {
-  // AoS -> SoA -> AoS must be a bit-exact round trip, and the SoA
-  // reductions must match the AoS ones exactly (same fixed summation
-  // order), for an arbitrary particle population.
+  // Set -> Get must be a bit-exact round trip, == must see every field,
+  // and the reductions must sum in ascending index order, for an
+  // arbitrary particle population.
   Rng rng(99);
   std::vector<Particle> particles;
   for (int i = 0; i < 257; ++i) {
@@ -172,19 +173,33 @@ TEST(ParticleSoATest, RoundTripAndReductionsAreBitExact) {
   }
 
   ParticleSoA soa;
-  soa.AssignFrom(particles);
+  soa.Resize(particles.size());
+  for (size_t i = 0; i < particles.size(); ++i) {
+    soa.Set(i, particles[i]);
+  }
   ASSERT_EQ(soa.size(), particles.size());
-  EXPECT_EQ(soa.ToParticles(), particles);
-  EXPECT_EQ(soa.Get(0), particles[0]);
-  EXPECT_EQ(soa.Get(256), particles[256]);
+  double total = 0.0;
+  double sum_sq = 0.0;
+  for (size_t i = 0; i < particles.size(); ++i) {
+    ASSERT_EQ(soa.Get(i), particles[i]) << i;
+    total += particles[i].weight;
+    sum_sq += particles[i].weight * particles[i].weight;
+  }
 
-  EXPECT_EQ(TotalWeight(soa), TotalWeight(particles));
-  EXPECT_EQ(EffectiveSampleSize(soa), EffectiveSampleSize(particles));
+  EXPECT_EQ(TotalWeight(soa), total);
+  EXPECT_EQ(EffectiveSampleSize(soa), 1.0 / sum_sq);
 
-  auto aos_normalized = particles;
-  NormalizeWeights(&aos_normalized);
-  NormalizeWeights(&soa);
-  EXPECT_EQ(soa.ToParticles(), aos_normalized);
+  ParticleSoA normalized = soa;
+  EXPECT_EQ(normalized, soa);
+  NormalizeWeights(&normalized);
+  for (size_t i = 0; i < particles.size(); ++i) {
+    EXPECT_EQ(normalized.weight[i], particles[i].weight / total) << i;
+  }
+  EXPECT_NE(normalized, soa);
+
+  ParticleSoA flipped = soa;
+  flipped.in_room[256] ^= 1;
+  EXPECT_NE(flipped, soa);
 }
 
 class ResamplingSchemeSweep
@@ -192,12 +207,12 @@ class ResamplingSchemeSweep
 
 TEST_P(ResamplingSchemeSweep, ContractHolds) {
   Rng rng(17);
-  auto particles = MakeParticles({0.5, 0.01, 2.0, 0.0, 0.7});
-  Resample(GetParam(), &particles, rng);
+  auto particles = TaggedParticles({0.5, 0.01, 2.0, 0.0, 0.7});
+  NormalizeAndResample(GetParam(), &particles, rng);
   ASSERT_EQ(particles.size(), 5u);
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 0.2);
-    EXPECT_NE(p.loc.edge, 3);  // Zero-weight particle never survives.
+  for (size_t i = 0; i < particles.size(); ++i) {
+    EXPECT_DOUBLE_EQ(particles.weight[i], 0.2);
+    EXPECT_NE(particles.edge[i], 3);  // Zero-weight particle never survives.
   }
 }
 
@@ -206,10 +221,10 @@ TEST_P(ResamplingSchemeSweep, ProportionalSurvival) {
   int edge1 = 0;
   const int trials = 3000;
   for (int t = 0; t < trials; ++t) {
-    auto particles = MakeParticles({1.0, 3.0});
-    Resample(GetParam(), &particles, rng);
-    for (const Particle& p : particles) {
-      edge1 += p.loc.edge == 1;
+    auto particles = TaggedParticles({1.0, 3.0});
+    NormalizeAndResample(GetParam(), &particles, rng);
+    for (const EdgeId e : particles.edge) {
+      edge1 += e == 1;
     }
   }
   EXPECT_NEAR(edge1 / (2.0 * trials), 0.75, 0.03)
@@ -218,11 +233,11 @@ TEST_P(ResamplingSchemeSweep, ProportionalSurvival) {
 
 TEST_P(ResamplingSchemeSweep, DominantParticleTakesOver) {
   Rng rng(19);
-  auto particles = MakeParticles({1e-9, 1e-9, 1.0, 1e-9});
-  Resample(GetParam(), &particles, rng);
+  auto particles = TaggedParticles({1e-9, 1e-9, 1.0, 1e-9});
+  NormalizeAndResample(GetParam(), &particles, rng);
   int dominant = 0;
-  for (const Particle& p : particles) {
-    dominant += p.loc.edge == 2;
+  for (const EdgeId e : particles.edge) {
+    dominant += e == 2;
   }
   EXPECT_EQ(dominant, 4) << ToString(GetParam());
 }
@@ -247,9 +262,9 @@ TEST_F(FilterFixture, AdaptiveResamplingSkipsHealthySets) {
   // Weights are normalized but not uniform (in-range vs out-of-range).
   double min_w = 1.0;
   double max_w = 0.0;
-  for (const Particle& p : result.particles) {
-    min_w = std::min(min_w, p.weight);
-    max_w = std::max(max_w, p.weight);
+  for (const double w : result.particles.weight) {
+    min_w = std::min(min_w, w);
+    max_w = std::max(max_w, w);
   }
   EXPECT_LT(min_w, max_w);
   EXPECT_NEAR(TotalWeight(result.particles), 1.0, 1e-9);
@@ -282,7 +297,7 @@ TEST_F(FilterFixture, MotionStepCoversExactDistanceOnOpenEdge) {
   p.heading = graph_.edge(long_edge).b;
   p.speed = 1.2;
   const Point before = graph_.PositionOf(p.loc);
-  model.Step(graph_, &p, 1.0, rng);
+  p = StepOne(model, p, rng);
   const Point after = graph_.PositionOf(p.loc);
   EXPECT_NEAR(Distance(before, after), 1.2, 1e-9);
 }
@@ -310,7 +325,7 @@ TEST_F(FilterFixture, MotionParksInRoom) {
   p.heading = graph_.OtherEnd(stub->id, door);
   p.speed = 1.0;
   for (int i = 0; i < 20 && !p.in_room; ++i) {
-    model.Step(graph_, &p, 1.0, rng);
+    p = StepOne(model, p, rng);
   }
   EXPECT_TRUE(p.in_room);
   // Parked at the room-center end of the stub.
@@ -333,16 +348,23 @@ TEST_F(FilterFixture, RoomExitIsGeometric) {
   const NodeId room_node = graph_.node(stub->a).kind == NodeKind::kRoomCenter
                                ? stub->a
                                : stub->b;
-  int exits = 0;
+  // One step of a batch of parked particles: each leaves independently.
   const int trials = 4000;
+  ParticleSoA parked;
+  parked.Resize(trials);
   for (int t = 0; t < trials; ++t) {
     Particle p;
     p.loc = GraphLocation{stub->id, graph_.OffsetOfNode(stub->id, room_node)};
     p.in_room = true;
     p.speed = 1.0;
     p.heading = room_node;
-    model.Step(graph_, &p, 1.0, rng);
-    exits += !p.in_room;
+    parked.Set(t, p);
+  }
+  FilterArena arena;
+  model.StepAll(graph_, edges_, &parked, &arena, 1.0, rng);
+  int exits = 0;
+  for (const uint8_t in_room : parked.in_room) {
+    exits += in_room == 0;
   }
   EXPECT_NEAR(exits / static_cast<double>(trials), 0.25, 0.03);
 }
@@ -436,7 +458,7 @@ TEST_F(FilterFixture, RoomDwellTimesAreGeometric) {
     particle.heading = room_node;
     int dwell = 0;
     while (particle.in_room && dwell < 10000) {
-      model.Step(graph_, &particle, 1.0, rng);
+      particle = StepOne(model, particle, rng);
       ++dwell;
     }
     observed[std::min(dwell, tail_after + 1) - 1] += 1;
@@ -473,11 +495,18 @@ TEST_F(FilterFixture, ChooseNextEdgeUturnsAtDeadEnd) {
 TEST_F(FilterFixture, MeasurementWeights) {
   const MeasurementModel model;
   const Reader& r = deployment_.reader(0);
-  EXPECT_DOUBLE_EQ(model.WeightOnDetection(deployment_, r.pos, 0), 1.0);
-  EXPECT_DOUBLE_EQ(
-      model.WeightOnDetection(deployment_, Point{1000, 1000}, 0), 1e-6);
+  // One particle on the reader, one far outside every range.
+  const double x[] = {r.pos.x, 1000.0};
+  const double y[] = {r.pos.y, 1000.0};
+  double weight[] = {1.0, 1.0};
+  EXPECT_EQ(model.WeightOnDetection(deployment_, 0, 2, x, y, weight), 1u);
+  EXPECT_DOUBLE_EQ(weight[0], 1.0);
+  EXPECT_DOUBLE_EQ(weight[1], 1e-6);
   // Silence is uninformative by default.
-  EXPECT_DOUBLE_EQ(model.WeightOnSilence(deployment_, r.pos), 1.0);
+  double silent[] = {1.0, 1.0};
+  EXPECT_EQ(model.WeightOnSilence(deployment_, 2, x, y, silent), 0u);
+  EXPECT_DOUBLE_EQ(silent[0], 1.0);
+  EXPECT_DOUBLE_EQ(silent[1], 1.0);
 }
 
 TEST_F(FilterFixture, MeasurementNegativeInformation) {
@@ -486,9 +515,12 @@ TEST_F(FilterFixture, MeasurementNegativeInformation) {
   config.silent_zone_weight = 0.2;
   const MeasurementModel model(config);
   const Reader& r = deployment_.reader(0);
-  EXPECT_DOUBLE_EQ(model.WeightOnSilence(deployment_, r.pos), 0.2);
-  EXPECT_DOUBLE_EQ(model.WeightOnSilence(deployment_, Point{1000, 1000}),
-                   1.0);
+  const double x[] = {r.pos.x, 1000.0};
+  const double y[] = {r.pos.y, 1000.0};
+  double weight[] = {1.0, 1.0};
+  EXPECT_EQ(model.WeightOnSilence(deployment_, 2, x, y, weight), 1u);
+  EXPECT_DOUBLE_EQ(weight[0], 0.2);
+  EXPECT_DOUBLE_EQ(weight[1], 1.0);
 }
 
 TEST_F(FilterFixture, InitializeAtReaderPlacesParticlesInRange) {
@@ -496,10 +528,12 @@ TEST_F(FilterFixture, InitializeAtReaderPlacesParticlesInRange) {
   config.num_particles = 128;
   const ParticleFilter filter(&graph_, &deployment_, config);
   Rng rng(11);
-  const auto particles = filter.InitializeAtReader(3, rng);
+  const ParticleSoA particles = filter.InitializeAtReader(3, rng);
   ASSERT_EQ(particles.size(), 128u);
   const Reader& r = deployment_.reader(3);
-  for (const Particle& p : particles) {
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const Particle p = particles.Get(i);
+    EXPECT_FALSE(p.in_room);
     EXPECT_LE(Distance(graph_.PositionOf(p.loc), r.pos), r.range + 1e-6);
     EXPECT_DOUBLE_EQ(p.weight, 1.0 / 128);
     EXPECT_GT(p.speed, 0.0);
@@ -570,8 +604,8 @@ TEST_F(FilterFixture, FilterLearnsDirection) {
   const double xb = deployment_.reader(b).pos.x;
   int forward = 0;
   int backward = 0;
-  for (const Particle& p : result.particles) {
-    const Point pos = graph_.PositionOf(p.loc);
+  for (size_t i = 0; i < result.particles.size(); ++i) {
+    const Point pos = graph_.PositionOf(result.particles.Get(i).loc);
     if (pos.x > xb + 1.0) ++forward;
     if (pos.x < xb - 1.0) ++backward;
   }
@@ -604,8 +638,9 @@ TEST_F(FilterFixture, ContradictoryObservationReseedsCloud) {
   // The cloud must be concentrated near the far reader now.
   const Point far_pos = deployment_.reader(far_reader).pos;
   int near = 0;
-  for (const Particle& p : result.particles) {
-    near += Distance(graph_.PositionOf(p.loc), far_pos) < 8.0;
+  for (size_t i = 0; i < result.particles.size(); ++i) {
+    near += Distance(graph_.PositionOf(result.particles.Get(i).loc),
+                     far_pos) < 8.0;
   }
   EXPECT_GT(near, static_cast<int>(result.particles.size()) / 2);
 }
@@ -712,21 +747,23 @@ TEST_F(FilterFixture, ComputePositionsMatchesGraphPositionOf) {
   const EdgeSoA edges = EdgeSoA::FromGraph(graph_);
   ASSERT_EQ(edges.size(), graph_.edges().size());
 
-  ParticleSoA soa;
-  std::vector<Particle> reference;
+  std::vector<GraphLocation> reference;
   for (const Edge& e : graph_.edges()) {
     for (const double frac : {0.0, 0.37, 1.0}) {
-      Particle p;
-      p.loc = GraphLocation{e.id, e.length * frac};
-      reference.push_back(p);
+      reference.push_back(GraphLocation{e.id, e.length * frac});
     }
   }
-  soa.AssignFrom(reference);
+  ParticleSoA soa;
+  soa.Resize(reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    soa.edge[i] = reference[i].edge;
+    soa.offset[i] = reference[i].offset;
+  }
   std::vector<double> x(soa.size());
   std::vector<double> y(soa.size());
   ComputePositions(edges, soa, x.data(), y.data());
   for (size_t i = 0; i < reference.size(); ++i) {
-    const Point expected = graph_.PositionOf(reference[i].loc);
+    const Point expected = graph_.PositionOf(reference[i]);
     EXPECT_EQ(x[i], expected.x) << "particle " << i;
     EXPECT_EQ(y[i], expected.y) << "particle " << i;
   }
@@ -749,7 +786,8 @@ TEST_F(FilterFixture, NegativeInformationPullsMassOutOfSilentZones) {
   const ParticleFilter f_neg(&graph_, &deployment_, negative);
   auto zone_mass = [&](const FilterResult& r) {
     double mass = 0.0;
-    for (const Particle& p : r.particles) {
+    for (size_t i = 0; i < r.particles.size(); ++i) {
+      const Particle p = r.particles.Get(i);
       if (deployment_.FirstCovering(graph_.PositionOf(p.loc)).has_value()) {
         mass += p.weight;
       }
@@ -823,13 +861,11 @@ TEST_F(FilterFixture, FromParticlesSnapsWeightMass) {
   // Two particles on one edge, one on another, weights 1:1:2.
   const EdgeId e0 = 0;
   const EdgeId e1 = 1;
-  std::vector<Particle> particles(3);
-  particles[0].loc = {e0, 0.1};
-  particles[0].weight = 1.0;
-  particles[1].loc = {e0, 0.2};
-  particles[1].weight = 1.0;
-  particles[2].loc = {e1, 0.1};
-  particles[2].weight = 2.0;
+  ParticleSoA particles;
+  particles.Resize(3);
+  particles.edge = {e0, e0, e1};
+  particles.offset = {0.1, 0.2, 0.1};
+  particles.weight = {1.0, 1.0, 2.0};
   const AnchorDistribution dist =
       AnchorDistribution::FromParticles(*anchors_, particles);
   EXPECT_NEAR(dist.TotalProbability(), 1.0, 1e-12);
@@ -985,26 +1021,26 @@ TEST_F(FilterFixture, ResumeAfterStaleLookupMatchesFullRun) {
   EXPECT_EQ(requeried.time, fresh.time);
   EXPECT_EQ(requeried.seconds_processed, fresh.seconds_processed);
   for (size_t i = 0; i < fresh.particles.size(); ++i) {
-    EXPECT_EQ(requeried.particles[i].loc.edge, fresh.particles[i].loc.edge);
-    EXPECT_DOUBLE_EQ(requeried.particles[i].loc.offset,
-                     fresh.particles[i].loc.offset);
-    EXPECT_DOUBLE_EQ(requeried.particles[i].weight,
-                     fresh.particles[i].weight);
+    EXPECT_EQ(requeried.particles.edge[i], fresh.particles.edge[i]);
+    EXPECT_DOUBLE_EQ(requeried.particles.offset[i],
+                     fresh.particles.offset[i]);
+    EXPECT_DOUBLE_EQ(requeried.particles.weight[i],
+                     fresh.particles.weight[i]);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Golden filter states: bit-exact digests of full filter runs through every
 // code path (all four resampling schemes, negative information, gap
-// widening, adaptive ESS). These froze the pre-SoA array-of-structs
-// answers; the SoA kernels must reproduce them byte-identically. The
-// digests are a function of the repository's own generator and
+// widening, adaptive ESS); the filter must reproduce them byte-identically.
+// The digests are a function of the repository's own generator and
 // distributions (common/rng.h), not of the standard library; regenerate by
 // running with IPQS_PRINT_GOLDEN=1 and pasting the output.
 
-// FNV-1a over the bit patterns of every particle field, in particle order.
-// Any single-bit difference in any field changes the digest.
-uint64_t ParticleDigest(const std::vector<Particle>& particles) {
+// FNV-1a over the bit patterns of every particle field, particle by
+// particle (edge, offset, heading, speed, weight, in-room flag). Any
+// single-bit difference in any field changes the digest.
+uint64_t ParticleDigest(const ParticleSoA& particles) {
   uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -1012,19 +1048,41 @@ uint64_t ParticleDigest(const std::vector<Particle>& particles) {
       h *= 1099511628211ULL;
     }
   };
-  for (const Particle& p : particles) {
+  for (size_t i = 0; i < particles.size(); ++i) {
     uint64_t bits = 0;
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(p.loc.edge)));
-    std::memcpy(&bits, &p.loc.offset, 8);
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(particles.edge[i])));
+    std::memcpy(&bits, &particles.offset[i], 8);
     mix(bits);
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(p.heading)));
-    std::memcpy(&bits, &p.speed, 8);
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(particles.heading[i])));
+    std::memcpy(&bits, &particles.speed[i], 8);
     mix(bits);
-    std::memcpy(&bits, &p.weight, 8);
+    std::memcpy(&bits, &particles.weight[i], 8);
     mix(bits);
-    mix(p.in_room ? 1 : 0);
+    mix(particles.in_room[i] ? 1 : 0);
   }
   return h;
+}
+
+TEST_F(FilterFixture, LaterOfTwoSameSecondReadingsDecides) {
+  // Two devices can report within one second (overlapping zones, ghost
+  // reads, clock skew). The later entry of that second is the one the
+  // filter weighs: the run must be bit-identical to one on a history
+  // without the earlier entry, and differ from one without the later.
+  const ParticleFilter filter(&graph_, &deployment_, FilterConfig{});
+  const auto run = [&](const DataCollector::ObjectHistory& history) {
+    Rng rng(37);
+    return filter.Run(history, 115, rng);
+  };
+  const FilterResult both =
+      run(MakeHistory({{100, 3}, {101, 3}, {102, 3}, {102, 4}, {110, 4}}));
+  const FilterResult later_only =
+      run(MakeHistory({{100, 3}, {101, 3}, {102, 4}, {110, 4}}));
+  const FilterResult earlier_only =
+      run(MakeHistory({{100, 3}, {101, 3}, {102, 3}, {110, 4}}));
+  EXPECT_EQ(both, later_only);
+  EXPECT_EQ(ParticleDigest(both.particles),
+            ParticleDigest(later_only.particles));
+  EXPECT_NE(both, earlier_only);
 }
 
 TEST_F(FilterFixture, GoldenRunDigestsAreFrozen) {

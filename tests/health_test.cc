@@ -472,16 +472,22 @@ TEST_F(HealthWorld, UntrustedReaderZoneGivesNoSilenceDiscount) {
   std::vector<uint8_t> zone_untrusted(n, 1);
   zone_untrusted[0] = 0;
 
+  // The silence weight of one particle at `inside` (a batch of one).
+  const auto weigh = [&](const uint8_t* mask) {
+    double weight = 1.0;
+    model.WeightOnSilence(deployment, 1, &inside.x, &inside.y, &weight,
+                          mask);
+    return weight;
+  };
   // Old behavior: the discount applies.
-  EXPECT_DOUBLE_EQ(model.WeightOnSilence(deployment, inside), 0.25);
+  double legacy = 1.0;
+  model.WeightOnSilence(deployment, 1, &inside.x, &inside.y, &legacy);
+  EXPECT_DOUBLE_EQ(legacy, 0.25);
   // Masked with everyone trusted: bit-identical to the legacy path.
-  EXPECT_EQ(model.WeightOnSilence(deployment, inside),
-            model.WeightOnSilence(deployment, inside, all_trusted.data()));
-  EXPECT_EQ(model.WeightOnSilence(deployment, inside),
-            model.WeightOnSilence(deployment, inside, nullptr));
+  EXPECT_EQ(weigh(all_trusted.data()), legacy);
+  EXPECT_EQ(weigh(nullptr), legacy);
   // New behavior: the covering reader's silence is uninformative.
-  EXPECT_DOUBLE_EQ(
-      model.WeightOnSilence(deployment, inside, zone_untrusted.data()), 1.0);
+  EXPECT_DOUBLE_EQ(weigh(zone_untrusted.data()), 1.0);
 }
 
 TEST_F(HealthWorld, BatchSilenceKernelHonorsTheTrustMask) {

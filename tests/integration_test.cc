@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "filter/resampler.h"
+#include "particle_sets.h"
 #include "sim/experiment.h"
 #include "sim/simulation.h"
 
@@ -284,15 +285,15 @@ class ResamplerSizeSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ResamplerSizeSweep, InvariantsHoldForAnySize) {
   const int n = GetParam();
   Rng rng(n);
-  std::vector<Particle> particles(n);
+  std::vector<double> weights(n);
   for (int i = 0; i < n; ++i) {
-    particles[i].loc = GraphLocation{static_cast<EdgeId>(i), 0.0};
-    particles[i].weight = rng.Uniform(0.001, 1.0);
+    weights[i] = rng.Uniform(0.001, 1.0);
   }
-  SystematicResample(&particles, rng);
+  ParticleSoA particles = TaggedParticles(weights);
+  NormalizeAndResample(ResamplingScheme::kSystematic, &particles, rng);
   ASSERT_EQ(particles.size(), static_cast<size_t>(n));
-  for (const Particle& p : particles) {
-    EXPECT_DOUBLE_EQ(p.weight, 1.0 / n);
+  for (const double w : particles.weight) {
+    EXPECT_DOUBLE_EQ(w, 1.0 / n);
   }
   EXPECT_NEAR(TotalWeight(particles), 1.0, 1e-9);
 }

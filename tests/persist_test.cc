@@ -168,7 +168,9 @@ SnapshotData GoldenSnapshot() {
   p2.speed = 0.75;
   p2.weight = 0.5;
   p2.in_room = true;
-  entry.state.particles = {p1, p2};
+  entry.state.particles.Resize(2);
+  entry.state.particles.Set(0, p1);
+  entry.state.particles.Set(1, p2);
   data.pf_cache = {entry};
   return data;
 }
@@ -251,6 +253,43 @@ TEST(SnapshotTest, RejectsTrailingGarbage) {
   std::string bytes = SnapshotWriter::Serialize(GoldenSnapshot());
   bytes += "extra";
   EXPECT_FALSE(SnapshotReader::Parse(bytes).ok());
+}
+
+TEST(SnapshotTest, HistoryGoingBackInTimeIsRejected) {
+  // A checksum-valid payload whose history goes back in time must not
+  // parse: everything that reads a restored history walks or
+  // binary-searches it in time order. Equal times from different readers
+  // (two devices reporting one second) stay valid.
+  DataCollector::ObjectHistory backwards;
+  backwards.current_device = 1;
+  backwards.entries = {{101, 1}, {100, 1}};
+  SnapshotData bad_history;
+  bad_history.collector.histories = {{7, backwards}};
+  StatusOr<SnapshotData> parsed =
+      SnapshotReader::Parse(SnapshotWriter::Serialize(bad_history));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("collector history"),
+            std::string::npos);
+
+  SnapshotData bad_log;
+  bad_log.history.logs = {{7, {{110, 3}, {100, 1}}}};
+  parsed = SnapshotReader::Parse(SnapshotWriter::Serialize(bad_log));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("history-store log"),
+            std::string::npos);
+
+  DataCollector::ObjectHistory same_second;
+  same_second.current_device = 3;
+  same_second.previous_device = 1;
+  same_second.entries = {{100, 1}, {100, 3}};
+  SnapshotData tied;
+  tied.collector.histories = {{7, same_second}};
+  tied.history.logs = {{7, {{100, 1}, {100, 3}}}};
+  parsed = SnapshotReader::Parse(SnapshotWriter::Serialize(tied));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed, tied);
 }
 
 // The frozen v1 golden file. Guards the on-disk format: if serialization

@@ -4,6 +4,7 @@
 // per-anchor lists by AnchorId, and both must give bit-identical results to
 // an ordered map keyed by anchor, on any thread.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <thread>
@@ -26,10 +27,11 @@ namespace {
 // written: every anchor a particle snaps to gets an entry (zero-mass ones
 // included) and an all-zero total gives an empty distribution.
 std::vector<std::pair<AnchorId, double>> MapReference(
-    const AnchorPointIndex& index, const std::vector<Particle>& particles) {
+    const AnchorPointIndex& index, const ParticleSoA& particles) {
   std::map<AnchorId, double> mass;
   double total = 0.0;
-  for (const Particle& p : particles) {
+  for (size_t i = 0; i < particles.size(); ++i) {
+    const Particle p = particles.Get(i);
     mass[index.NearestOnEdge(p.loc)] += p.weight;
     total += p.weight;
   }
@@ -68,13 +70,15 @@ class SnapTest : public ::testing::Test {
 
   // `n` particles on random edges with weights drawn from [0, 1), every
   // `zero_every`-th one weightless (0 = none).
-  std::vector<Particle> RandomParticles(Rng& rng, int n, int zero_every) {
-    std::vector<Particle> particles(static_cast<size_t>(n));
+  ParticleSoA RandomParticles(Rng& rng, int n, int zero_every) {
+    ParticleSoA particles;
+    particles.Resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-      Particle& p = particles[static_cast<size_t>(i)];
+      Particle p;
       p.loc.edge = static_cast<EdgeId>(rng.UniformInt(0, graph_.num_edges() - 1));
       p.loc.offset = rng.Uniform01() * graph_.edge(p.loc.edge).length;
       p.weight = zero_every > 0 && i % zero_every == 0 ? 0.0 : rng.Uniform01();
+      particles.Set(static_cast<size_t>(i), p);
     }
     return particles;
   }
@@ -89,16 +93,16 @@ TEST_F(SnapTest, MatchesMapReferenceWithZeroWeightParticles) {
   ASSERT_LT(coarse_->num_anchors(), fine_->num_anchors());
   Rng rng(11);
   for (int trial = 0; trial < 50; ++trial) {
-    const std::vector<Particle> particles = RandomParticles(rng, 64, 3);
+    const ParticleSoA particles = RandomParticles(rng, 64, 3);
     ExpectSameEntries(
         AnchorDistribution::FromParticles(*coarse_, particles).entries(),
         MapReference(*coarse_, particles), "trial " + std::to_string(trial));
   }
   // A particle alone on its anchor with no weight still gets a
   // zero-probability entry, as the map gives it.
-  std::vector<Particle> particles = RandomParticles(rng, 2, 0);
-  particles[0].weight = 0.0;
-  particles[1].weight = 1.0;
+  ParticleSoA particles = RandomParticles(rng, 2, 0);
+  particles.weight[0] = 0.0;
+  particles.weight[1] = 1.0;
   const AnchorDistribution dist =
       AnchorDistribution::FromParticles(*coarse_, particles);
   ExpectSameEntries(dist.entries(), MapReference(*coarse_, particles),
@@ -107,22 +111,21 @@ TEST_F(SnapTest, MatchesMapReferenceWithZeroWeightParticles) {
 
 TEST_F(SnapTest, AllZeroTotalIsEmpty) {
   Rng rng(12);
-  const std::vector<Particle> particles = RandomParticles(rng, 64, 1);
+  const ParticleSoA particles = RandomParticles(rng, 64, 1);
   EXPECT_TRUE(AnchorDistribution::FromParticles(*coarse_, particles).empty());
   EXPECT_TRUE(AnchorDistribution::FromParticles(*coarse_, {}).empty());
   // The weightless call left the scratch clean: a later call still matches.
-  const std::vector<Particle> next = RandomParticles(rng, 64, 0);
+  const ParticleSoA next = RandomParticles(rng, 64, 0);
   ExpectSameEntries(AnchorDistribution::FromParticles(*coarse_, next).entries(),
                     MapReference(*coarse_, next), "after all-zero call");
 }
 
 TEST_F(SnapTest, ManyParticlesOnOneAnchor) {
   Rng rng(13);
-  std::vector<Particle> particles = RandomParticles(rng, 1000, 0);
-  const GraphLocation spot = particles.front().loc;
-  for (Particle& p : particles) {
-    p.loc = spot;
-  }
+  ParticleSoA particles = RandomParticles(rng, 1000, 0);
+  std::fill(particles.edge.begin(), particles.edge.end(), particles.edge[0]);
+  std::fill(particles.offset.begin(), particles.offset.end(),
+            particles.offset[0]);
   const AnchorDistribution dist =
       AnchorDistribution::FromParticles(*coarse_, particles);
   ASSERT_EQ(dist.support_size(), 1u);
@@ -134,7 +137,7 @@ TEST_F(SnapTest, AlternatingIndexSizesOnOneThread) {
   Rng rng(14);
   for (int trial = 0; trial < 40; ++trial) {
     const AnchorPointIndex& index = trial % 2 == 0 ? *coarse_ : *fine_;
-    const std::vector<Particle> particles = RandomParticles(rng, 64, 5);
+    const ParticleSoA particles = RandomParticles(rng, 64, 5);
     ExpectSameEntries(
         AnchorDistribution::FromParticles(index, particles).entries(),
         MapReference(index, particles),
@@ -146,7 +149,7 @@ TEST_F(SnapTest, FourThreadsAtOnce) {
   constexpr int kThreads = 4;
   constexpr int kTrials = 60;
   // Inputs and references are built up front; the threads only snap.
-  std::vector<std::vector<Particle>> inputs;
+  std::vector<ParticleSoA> inputs;
   std::vector<std::vector<std::pair<AnchorId, double>>> want;
   Rng rng(15);
   for (int i = 0; i < kThreads * kTrials; ++i) {
